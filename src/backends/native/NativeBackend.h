@@ -51,7 +51,8 @@ public:
     /// the simulated path; skipped corners stay NaN-poisoned).
     bool AllowCornerSkip = true;
     /// Host threads: 0 uses the process-wide shared pool
-    /// (CMCC_THREADS), N >= 1 a private pool of exactly N threads.
+    /// (CMCC_THREADS), N >= 1 a leased pool of exactly N threads
+    /// (ThreadPool::lease, reused across runs).
     /// Thread count never changes results — tiles are disjoint.
     int ThreadCount = 0;
     /// Rows per parallel tile. Small enough to load-balance the pool

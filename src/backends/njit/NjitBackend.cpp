@@ -73,14 +73,8 @@ NjitBackend::runResolved(const CompiledStencil &Compiled,
   const int Border = K * Radius;
   const int CoeffBorder = (K - 1) * Radius;
 
-  std::unique_ptr<ThreadPool> PrivatePool;
-  ThreadPool *Pool;
-  if (Opts.ThreadCount == 0) {
-    Pool = &ThreadPool::shared();
-  } else {
-    PrivatePool = std::make_unique<ThreadPool>(Opts.ThreadCount);
-    Pool = PrivatePool.get();
-  }
+  const ThreadPool::Lease PoolLease = ThreadPool::lease(Opts.ThreadCount);
+  ThreadPool *Pool = PoolLease.get();
 
   const auto Start = std::chrono::steady_clock::now();
 

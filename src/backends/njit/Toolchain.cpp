@@ -8,6 +8,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sys/stat.h>
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#elif defined(__linux__)
+#include <sys/auxv.h>
+#endif
 #include <unistd.h>
 #include <vector>
 
@@ -61,21 +66,83 @@ Expected<Toolchain> makeToolchain(const std::string &Resolved,
                                   const struct stat &St) {
   Toolchain TC;
   TC.Compiler = Resolved;
-  // Identity: resolved path + size + mtime + flags + emitter version.
-  // Replacing the compiler binary (new mtime/size) or changing the
-  // flags/emitter re-namespaces every artifact; nothing stale can be
-  // dlopen'd by accident.
-  uint64_t H = 1469598103934665603ull;
-  H = fnv1a(H, Resolved);
-  H = fnv1a(H, std::to_string(static_cast<long long>(St.st_size)));
-  H = fnv1a(H, std::to_string(static_cast<long long>(St.st_mtime)));
-  H = fnv1a(H, CompileFlags);
-  H = fnv1a(H, std::to_string(EmitterVersion));
-  TC.IdentityHash = H;
+  // The ISA stamp cannot change while the process runs; read it once.
+  static const std::string IsaStamp = hostIsaStamp();
+  TC.IdentityHash = toolchainIdentity(Resolved, St.st_size, St.st_mtime,
+                                      IsaStamp);
   return TC;
 }
 
 } // namespace
+
+std::string cmcc::njit::hostIsaStamp() {
+  std::string Stamp;
+  auto Append = [&Stamp](unsigned long Word) {
+    char Buffer[24];
+    std::snprintf(Buffer, sizeof(Buffer), "%lx.", Word);
+    Stamp += Buffer;
+  };
+#if defined(__x86_64__) || defined(__i386__)
+  // What -march=native keys on: vendor, signature (family/model/
+  // stepping), the feature leaves, and the OS-enabled register state.
+  unsigned A = 0, B = 0, C = 0, D = 0;
+  const unsigned MaxLeaf = __get_cpuid_max(0, nullptr);
+  if (MaxLeaf == 0)
+    return "x86";
+  __cpuid(0, A, B, C, D);
+  Stamp.append(reinterpret_cast<const char *>(&B), 4);
+  Stamp.append(reinterpret_cast<const char *>(&D), 4);
+  Stamp.append(reinterpret_cast<const char *>(&C), 4);
+  Stamp += ':';
+  __cpuid(1, A, B, C, D);
+  Append(A);
+  Append(C);
+  Append(D);
+  const bool OsXsave = (C >> 27) & 1;
+  if (MaxLeaf >= 7) {
+    __cpuid_count(7, 0, A, B, C, D);
+    Append(B);
+    Append(C);
+    Append(D);
+    __cpuid_count(7, 1, A, B, C, D);
+    Append(A);
+  }
+  if (__get_cpuid(0x80000001, &A, &B, &C, &D)) {
+    Append(C);
+    Append(D);
+  }
+  if (OsXsave) {
+    unsigned Lo, Hi;
+    __asm__ volatile("xgetbv" : "=a"(Lo), "=d"(Hi) : "c"(0));
+    Append(Lo);
+  }
+#elif defined(__linux__)
+  Append(::getauxval(AT_HWCAP));
+#ifdef AT_HWCAP2
+  Append(::getauxval(AT_HWCAP2));
+#endif
+  if (const char *Platform =
+          reinterpret_cast<const char *>(::getauxval(AT_PLATFORM)))
+    Stamp += Platform;
+#endif
+  return Stamp;
+}
+
+uint64_t cmcc::njit::toolchainIdentity(const std::string &Compiler,
+                                       long long Size, long long Mtime,
+                                       const std::string &IsaStamp) {
+  // Replacing the compiler binary (new mtime/size), changing the
+  // flags/emitter, or moving the cache to another CPU re-namespaces
+  // every artifact; nothing stale can be dlopen'd by accident.
+  uint64_t H = 1469598103934665603ull;
+  H = fnv1a(H, Compiler);
+  H = fnv1a(H, std::to_string(Size));
+  H = fnv1a(H, std::to_string(Mtime));
+  H = fnv1a(H, CompileFlags);
+  H = fnv1a(H, std::to_string(EmitterVersion));
+  H = fnv1a(H, IsaStamp);
+  return H;
+}
 
 std::string Toolchain::identityHex() const {
   char Buffer[20];

@@ -47,6 +47,17 @@ public:
   float *data() { return Data.data(); }
   const float *data() const { return Data.data(); }
 
+  /// Row \p R's cols() contiguous floats. Whole-row copies go through
+  /// this, bounds-checked once per row rather than once per element.
+  float *row(int R) {
+    assert(R >= 0 && R < Rows && "row out of range");
+    return Data.data() + static_cast<size_t>(R) * Cols;
+  }
+  const float *row(int R) const {
+    assert(R >= 0 && R < Rows && "row out of range");
+    return Data.data() + static_cast<size_t>(R) * Cols;
+  }
+
   /// Element with circular (toroidal) index wrapping — Fortran CSHIFT
   /// semantics.
   float atWrapped(int R, int C) const;

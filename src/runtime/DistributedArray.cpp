@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/DistributedArray.h"
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -34,8 +35,8 @@ void DistributedArray::scatter(const Array2D &Global) {
     for (int NC = 0; NC != Grid.cols(); ++NC) {
       Array2D &Sub = subgrid({NR, NC});
       for (int R = 0; R != SubRows; ++R)
-        for (int C = 0; C != SubCols; ++C)
-          Sub.at(R, C) = Global.at(NR * SubRows + R, NC * SubCols + C);
+        std::copy_n(Global.row(NR * SubRows + R) + NC * SubCols, SubCols,
+                    Sub.row(R));
     }
 }
 
@@ -45,8 +46,8 @@ Array2D DistributedArray::gather() const {
     for (int NC = 0; NC != Grid.cols(); ++NC) {
       const Array2D &Sub = subgrid({NR, NC});
       for (int R = 0; R != SubRows; ++R)
-        for (int C = 0; C != SubCols; ++C)
-          Global.at(NR * SubRows + R, NC * SubCols + C) = Sub.at(R, C);
+        std::copy_n(Sub.row(R), SubCols,
+                    Global.row(NR * SubRows + R) + NC * SubCols);
     }
   return Global;
 }

@@ -417,16 +417,10 @@ Executor::runResolved(const CompiledStencil &Compiled,
   long Node0Ops = -1;
   if (Opts.Mode != FunctionalMode::None) {
     // The host execution engine: Options::ThreadCount == 0 shares the
-    // process-wide pool; otherwise a private pool of exactly that many
+    // process-wide pool; otherwise a leased pool of exactly that many
     // threads (ThreadCount == 1 degenerates to inline serial loops).
-    std::unique_ptr<ThreadPool> PrivatePool;
-    ThreadPool *Pool;
-    if (Opts.ThreadCount == 0) {
-      Pool = &ThreadPool::shared();
-    } else {
-      PrivatePool = std::make_unique<ThreadPool>(Opts.ThreadCount);
-      Pool = PrivatePool.get();
-    }
+    const ThreadPool::Lease PoolLease = ThreadPool::lease(Opts.ThreadCount);
+    ThreadPool *Pool = PoolLease.get();
 
     // Step one of the run-time library: the halo exchange (the paper's
     // three-step protocol), once per source array, all nodes at once.

@@ -66,7 +66,8 @@ public:
     bool UseFastPath = true;
     /// Host threads for the functional fan-out: 0 uses the process-wide
     /// shared pool (CMCC_THREADS env var, else hardware concurrency);
-    /// N >= 1 uses a private pool of exactly N threads. Thread count
+    /// N >= 1 uses a leased pool of exactly N threads
+    /// (ThreadPool::lease, reused across runs). Thread count
     /// never changes results or simulated timing — nodes are
     /// independent after the halo exchange.
     int ThreadCount = 0;

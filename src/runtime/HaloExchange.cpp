@@ -8,6 +8,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/ThreadPool.h"
+#include <algorithm>
 #include <functional>
 #include <limits>
 
@@ -73,8 +74,8 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
         Fn(Id);
   };
 
-  // Step 1: temporary storage, own subgrid in the center. Unwritten pad
-  // cells stay poisoned so mistakes are loud.
+  // Step 1: temporary storage, own subgrid copied row by row into the
+  // center. Unwritten pad cells stay poisoned so mistakes are loud.
   std::vector<Array2D> Padded(Grid.nodeCount());
   {
     CMCC_SPAN("halo.step1_copy");
@@ -82,8 +83,7 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
       Array2D P(SR + 2 * B, SC + 2 * B, B > 0 ? Nan : 0.0f);
       const Array2D &Own = A.subgrid(Grid.coordOf(Id));
       for (int R = 0; R != SR; ++R)
-        for (int C = 0; C != SC; ++C)
-          P.at(R + B, C + B) = Own.at(R, C);
+        std::copy_n(Own.row(R), SC, P.row(R + B) + B);
       Padded[Id] = std::move(P);
     });
   }

@@ -101,7 +101,8 @@ PlanCache::lookup(uint64_t Fingerprint) {
     if (std::shared_ptr<const CompiledStencil> Plan =
             loadFromDisk(Fingerprint)) {
       Hits.fetch_add(1, std::memory_order_relaxed);
-      insert(Fingerprint, Plan);
+      // Memory only: the file it came from is already the stored copy.
+      insertMemory(Fingerprint, Plan);
       return Plan;
     }
   }
@@ -119,30 +120,31 @@ std::shared_ptr<const CompiledStencil> PlanCache::peek(uint64_t Fingerprint) {
   return It->second->second;
 }
 
+bool PlanCache::insertMemory(
+    uint64_t Fingerprint, const std::shared_ptr<const CompiledStencil> &Plan) {
+  Shard &S = shardFor(Fingerprint);
+  std::lock_guard<std::mutex> Lock(S.Mutex);
+  auto It = S.Index.find(Fingerprint);
+  if (It != S.Index.end()) {
+    S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
+    return false;
+  }
+  S.Lru.emplace_front(Fingerprint, Plan);
+  S.Index[Fingerprint] = S.Lru.begin();
+  while (S.Lru.size() > PerShardCapacity) {
+    S.Index.erase(S.Lru.back().first);
+    S.Lru.pop_back();
+    Evictions.fetch_add(1, std::memory_order_relaxed);
+  }
+  return true;
+}
+
 void PlanCache::insert(uint64_t Fingerprint,
                        std::shared_ptr<const CompiledStencil> Plan) {
-  if (!Plan)
+  if (!Plan || !insertMemory(Fingerprint, Plan))
     return;
-  bool WriteDisk = false;
-  Shard &S = shardFor(Fingerprint);
-  {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    auto It = S.Index.find(Fingerprint);
-    if (It != S.Index.end()) {
-      S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
-    } else {
-      S.Lru.emplace_front(Fingerprint, Plan);
-      S.Index[Fingerprint] = S.Lru.begin();
-      Insertions.fetch_add(1, std::memory_order_relaxed);
-      WriteDisk = !Opts.DiskDir.empty();
-      while (S.Lru.size() > PerShardCapacity) {
-        S.Index.erase(S.Lru.back().first);
-        S.Lru.pop_back();
-        Evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  if (WriteDisk)
+  Insertions.fetch_add(1, std::memory_order_relaxed);
+  if (!Opts.DiskDir.empty())
     storeToDisk(Fingerprint, *Plan);
 }
 

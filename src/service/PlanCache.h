@@ -79,7 +79,8 @@ public:
   PlanCache(const MachineConfig &Config, Options Opts);
 
   /// Returns the cached plan for \p Fingerprint, consulting memory then
-  /// disk, or nullptr (a miss). A disk hit is promoted into memory.
+  /// disk, or nullptr (a miss). A disk hit is promoted into memory only;
+  /// its file is never rewritten.
   std::shared_ptr<const CompiledStencil> lookup(uint64_t Fingerprint);
 
   /// In-memory-only recheck that touches no hit/miss counters (and not
@@ -117,6 +118,10 @@ private:
   Shard &shardFor(uint64_t Fingerprint) {
     return *Shards[Fingerprint % Shards.size()];
   }
+  /// Puts \p Plan in memory (LRU eviction included); false when the
+  /// fingerprint was already there.
+  bool insertMemory(uint64_t Fingerprint,
+                    const std::shared_ptr<const CompiledStencil> &Plan);
   std::string diskPathFor(uint64_t Fingerprint) const;
   std::shared_ptr<const CompiledStencil> loadFromDisk(uint64_t Fingerprint);
   void storeToDisk(uint64_t Fingerprint, const CompiledStencil &Plan) const;

@@ -246,7 +246,7 @@ std::string StencilService::timelineJson(JobId Id) const {
 
 StencilService::JobId StencilService::submit(JobRequest Request) {
   CMCC_SPAN("service.submit");
-  Job *Raw;
+  JobId Id;
   bool RejectedNow = false;
   {
     std::unique_lock<std::mutex> Lock(JobsMutex);
@@ -285,7 +285,7 @@ StencilService::JobId StencilService::submit(JobRequest Request) {
       }
     }
     auto J = std::make_unique<Job>();
-    J->Id = NextId++;
+    J->Id = Id = NextId++;
     J->Request = std::move(Request);
     if (Opts.DeadlineMs > 0) {
       // The budget starts at admission, not at submit() entry: a
@@ -294,7 +294,7 @@ StencilService::JobId StencilService::submit(JobRequest Request) {
                     std::chrono::milliseconds(Opts.DeadlineMs);
       J->HasDeadline = true;
     }
-    Raw = J.get();
+    Job *Raw = J.get();
     Raw->AdmittedNs = obs::detail::nowNs();
     note(*Raw, JobEvent::Submitted);
     JobsSubmitted.add(1);
@@ -326,16 +326,16 @@ StencilService::JobId StencilService::submit(JobRequest Request) {
       ++TC.InFlight;
       ++TC.Queued;
     }
-    Jobs.emplace(Raw->Id, std::move(J));
+    Jobs.emplace(Id, std::move(J));
   }
   JobsChanged.notify_all();
   if (RejectedNow) {
     // A born-Failed job never reaches finish(); deliver its completion
     // notification here (after the job is visible in the table).
     if (std::function<void(JobId)> Cb = finishedCallback())
-      Cb(Raw->Id);
+      Cb(Id);
   }
-  return Raw->Id;
+  return Id;
 }
 
 StencilService::JobState StencilService::poll(JobId Id) const {
@@ -428,10 +428,31 @@ StencilService::JobResult StencilService::wait(JobId Id) {
     return R;
   }
   Job *J = It->second.get();
+  ++J->Waiters;
   JobsChanged.wait(Lock, [&] {
     return J->State == JobState::Done || J->State == JobState::Failed;
   });
-  return J->Result;
+  --J->Waiters;
+  JobResult Result = J->Result;
+  if (!J->Delivered) {
+    J->Delivered = true;
+    DeliveredIds.push_back(Id);
+    pruneDeliveredLocked();
+  }
+  return Result;
+}
+
+void StencilService::pruneDeliveredLocked() {
+  const size_t Keep = std::max<size_t>(1, Opts.TimelineRingCap);
+  while (DeliveredIds.size() > Keep) {
+    auto It = Jobs.find(DeliveredIds.front());
+    // A waiter still inside wait() holds the entry; retry at the next
+    // delivery.
+    if (It->second->Waiters > 0)
+      return;
+    Jobs.erase(It);
+    DeliveredIds.pop_front();
+  }
 }
 
 void StencilService::drain() {
@@ -921,6 +942,9 @@ void StencilService::execute(Job &J, const CompiledStencil &Plan) {
 }
 
 void StencilService::finish(Job &J, JobState Final) {
+  // Once J is marked finished below, a waiter may deliver it and a
+  // later delivery may erase it: only this copy is read after that.
+  const JobId Id = J.Id;
   note(J, Final == JobState::Done ? JobEvent::Done : JobEvent::Failed);
   const uint64_t TotalMs = (obs::detail::nowNs() - J.AdmittedNs) / 1000000u;
   const bool Slow =
@@ -963,7 +987,7 @@ void StencilService::finish(Job &J, JobState Final) {
   if (Slow && obs::Trace::active())
     obs::Trace::flush();
   if (std::function<void(JobId)> Cb = finishedCallback())
-    Cb(J.Id);
+    Cb(Id);
 }
 
 ServiceStats StencilService::stats() const {

@@ -298,7 +298,8 @@ public:
     /// trace file is flushed immediately so the slow job's spans are on
     /// disk even if the process dies later. 0 disables the threshold.
     long SlowJobMs = 0;
-    /// Finished-job timelines retained for the `timeline` query.
+    /// Finished-job timelines retained for the `timeline` query, and
+    /// delivered jobs kept in the job table for repeat wait() calls.
     size_t TimelineRingCap = 256;
     /// Plan-batched dispatch (DESIGN.md §5k): after a worker resolves a
     /// job's plan it waits up to this many milliseconds for queued jobs
@@ -338,12 +339,19 @@ public:
   JobId submit(JobRequest Request);
 
   /// Current state of \p Id. An id submit() never returned reports
-  /// JobState::Failed (the state wait() would explain as BadJobId).
+  /// JobState::Failed (the state wait() would explain as BadJobId), and
+  /// so does an id the job table has already erased (see wait()).
   JobState poll(JobId Id) const;
 
   /// Blocks until \p Id finishes; returns its result. An id submit()
   /// never returned yields an immediate failed result with
   /// JobStatus::BadJobId — never a hang.
+  ///
+  /// The job table stays bounded: once wait() has delivered a job, its
+  /// entry is erased after Options::TimelineRingCap later jobs have been
+  /// delivered too. Until then the job can be waited on again; after
+  /// that, poll() and wait() answer for it as for an unknown id
+  /// (Failed / BadJobId). A job no wait() has returned is never erased.
   JobResult wait(JobId Id);
 
   /// Best-effort cancellation: removes \p Id from the queue and fails
@@ -404,6 +412,12 @@ private:
     /// non-queued jobs), then exclusively by that worker.
     std::vector<TimelineEntry> Timeline;
     uint64_t AdmittedNs = 0; ///< Timeline epoch / slow-job baseline.
+    /// Threads blocked in wait() on this job (the entry is not erased
+    /// under them). Guarded by JobsMutex.
+    int Waiters = 0;
+    /// Some wait() has returned this job (it is in DeliveredIds).
+    /// Guarded by JobsMutex.
+    bool Delivered = false;
   };
 
   /// Appends one timeline event to \p J (see Job::Timeline for the
@@ -482,6 +496,9 @@ private:
   /// Moves \p J's timeline into the finished ring. Caller holds
   /// JobsMutex.
   void archiveTimelineLocked(Job &J);
+  /// Erases the oldest delivered jobs beyond Options::TimelineRingCap.
+  /// Caller holds JobsMutex.
+  void pruneDeliveredLocked();
   /// Snapshot of the registered finished-callback (may be empty).
   std::function<void(JobId)> finishedCallback() const;
 
@@ -507,6 +524,9 @@ private:
   /// Recently finished jobs' timelines, oldest first (bounded by
   /// Options::TimelineRingCap; guarded by JobsMutex).
   std::deque<JobTimeline> FinishedTimelines;
+  /// Delivered jobs still in Jobs, oldest delivery first (bounded by
+  /// Options::TimelineRingCap; guarded by JobsMutex).
+  std::deque<JobId> DeliveredIds;
 
   //===--- Completion notification ----------------------------------------===//
   mutable std::mutex CallbackMutex;

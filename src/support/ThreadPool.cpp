@@ -8,7 +8,9 @@
 #include "obs/Trace.h"
 #include "support/FaultInjection.h"
 #include <cstdlib>
+#include <memory>
 #include <string>
+#include <unordered_map>
 
 using namespace cmcc;
 
@@ -16,6 +18,20 @@ namespace {
 /// True on threads currently executing a loop body; parallelFor from
 /// such a thread must run inline rather than wait on the pool.
 thread_local bool InsideLoopBody = false;
+
+/// The pools lease() built, and which of them are parked, by size.
+struct ParkingLot {
+  std::mutex Mutex;
+  std::vector<std::unique_ptr<ThreadPool>> Built;
+  std::unordered_map<int, std::vector<ThreadPool *>> Parked;
+};
+
+/// Leaked, so a lease that ends during static destruction (a service
+/// drained from a destructor) still finds the lot.
+ParkingLot &parkingLot() {
+  static ParkingLot *Lot = new ParkingLot;
+  return *Lot;
+}
 } // namespace
 
 ThreadPool::ThreadPool(int Threads)
@@ -138,4 +154,40 @@ int ThreadPool::sharedThreadCount() {
 ThreadPool &ThreadPool::shared() {
   static ThreadPool Pool(sharedThreadCount());
   return Pool;
+}
+
+ThreadPool::Lease ThreadPool::lease(int Threads) {
+  if (Threads == 0)
+    return Lease(&shared(), /*Borrowed=*/false);
+  const int Size = Threads < 1 ? 1 : Threads;
+  ParkingLot &Lot = parkingLot();
+  {
+    std::lock_guard<std::mutex> Lock(Lot.Mutex);
+    std::vector<ThreadPool *> &Parked = Lot.Parked[Size];
+    if (!Parked.empty()) {
+      ThreadPool *Pool = Parked.back();
+      Parked.pop_back();
+      return Lease(Pool, /*Borrowed=*/true);
+    }
+  }
+  // Spawn outside the lot's lock; the new pool is registered on return.
+  auto Pool = std::make_unique<ThreadPool>(Size);
+  ThreadPool *Raw = Pool.get();
+  std::lock_guard<std::mutex> Lock(Lot.Mutex);
+  Lot.Built.push_back(std::move(Pool));
+  return Lease(Raw, /*Borrowed=*/true);
+}
+
+ThreadPool::Lease::~Lease() {
+  if (!Borrowed)
+    return;
+  ParkingLot &Lot = parkingLot();
+  std::lock_guard<std::mutex> Lock(Lot.Mutex);
+  Lot.Parked[Pool->threadCount()].push_back(Pool);
+}
+
+int ThreadPool::leasedPoolCount() {
+  ParkingLot &Lot = parkingLot();
+  std::lock_guard<std::mutex> Lock(Lot.Mutex);
+  return static_cast<int>(Lot.Built.size());
 }

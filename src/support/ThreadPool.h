@@ -68,6 +68,36 @@ public:
   /// environment without constructing the pool.
   static int sharedThreadCount();
 
+  /// A run's pool, held for the run's duration (see lease()). Ending the
+  /// lease parks a borrowed pool for the next run; it never joins
+  /// threads.
+  class Lease {
+  public:
+    Lease(const Lease &) = delete;
+    Lease &operator=(const Lease &) = delete;
+    ~Lease();
+
+    ThreadPool *get() const { return Pool; }
+
+  private:
+    friend class ThreadPool;
+    Lease(ThreadPool *Pool, bool Borrowed) : Pool(Pool), Borrowed(Borrowed) {}
+    ThreadPool *Pool;
+    bool Borrowed;
+  };
+
+  /// The pool one host run executes on. \p Threads == 0 means the shared
+  /// pool. Otherwise the run borrows a parked pool of exactly that many
+  /// threads (< 1 is clamped to 1), and one is built only when every
+  /// pool of that size is already leased. A run therefore pays for
+  /// thread start-up once per process, not once per run, and the number
+  /// of pools of a size is the peak number of concurrent runs asking
+  /// for it. Parked pools live until the process exits.
+  static Lease lease(int Threads);
+
+  /// Pools lease() has built so far, all sizes together.
+  static int leasedPoolCount();
+
 private:
   void workerLoop();
   /// Pulls indices until the current loop is exhausted.

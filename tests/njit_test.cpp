@@ -42,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace cmcc;
@@ -175,6 +176,37 @@ TEST(NjitEmitterTest, FoldsScalarCoefficientsToExactHexFloats) {
        At = Source.find("Acc +=", At + 1))
     ++Count;
   EXPECT_EQ(Count, Spec.Taps.size());
+}
+
+//===----------------------------------------------------------------------===//
+// Toolchain identity
+//===----------------------------------------------------------------------===//
+
+TEST(NjitToolchainTest, HostIsaStampIsPartOfTheIdentity) {
+  // Artifacts target the host ISA: the same compiler on a CPU with a
+  // different stamp must land in a different artifact namespace.
+  const std::string Here = njit::hostIsaStamp();
+  EXPECT_FALSE(Here.empty());
+  EXPECT_EQ(njit::hostIsaStamp(), Here); // Stable within a process.
+  njit::Toolchain Local, Same, Other;
+  Local.IdentityHash = njit::toolchainIdentity("/usr/bin/c++", 1234, 5678, Here);
+  Same.IdentityHash = njit::toolchainIdentity("/usr/bin/c++", 1234, 5678, Here);
+  Other.IdentityHash =
+      njit::toolchainIdentity("/usr/bin/c++", 1234, 5678, Here + "+avx");
+  EXPECT_EQ(Local.identityHex(), Same.identityHex());
+  EXPECT_NE(Local.identityHex(), Other.identityHex());
+  EXPECT_NE(std::string(njit::CompileFlags).find("-march=native"),
+            std::string::npos);
+
+  // The detected toolchain is keyed by this host's stamp.
+  Expected<njit::Toolchain> TC = njit::detectToolchain();
+  if (!TC)
+    GTEST_SKIP() << "no host C++ toolchain";
+  struct stat St;
+  ASSERT_EQ(::stat(TC->Compiler.c_str(), &St), 0);
+  EXPECT_EQ(TC->IdentityHash,
+            njit::toolchainIdentity(TC->Compiler, St.st_size, St.st_mtime,
+                                    Here));
 }
 
 //===----------------------------------------------------------------------===//

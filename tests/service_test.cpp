@@ -32,6 +32,7 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <memory>
+#include <sys/stat.h>
 #include <thread>
 
 using namespace cmcc;
@@ -214,6 +215,37 @@ TEST(PlanCacheTest, DiskTierRoundTripAndVerify) {
   PlanCache Second(M, Opts);
   EXPECT_NE(Second.lookup(Fp), nullptr);
   EXPECT_EQ(Second.counters().DiskHits, 1);
+}
+
+TEST(PlanCacheTest, DiskHitLeavesTheFileUntouched) {
+  MachineConfig M = machine();
+  ScratchDir Dir("disk_untouched");
+  uint64_t Fp = planFingerprint(makePattern(PatternId::Cross5), M);
+  std::string Path = Dir.Path + "/" + fingerprintHex(Fp) + ".cmccode";
+
+  PlanCache::Options Opts;
+  Opts.DiskDir = Dir.Path;
+  {
+    PlanCache Writer(M, Opts);
+    Writer.insert(Fp, compileShared(M, PatternId::Cross5));
+  }
+  struct stat Before;
+  ASSERT_EQ(::stat(Path.c_str(), &Before), 0);
+
+  // A restart: the disk hit lands in memory only. Rewriting the file
+  // (a new temp file renamed over it) would change its inode.
+  PlanCache Restarted(M, Opts);
+  ASSERT_NE(Restarted.lookup(Fp), nullptr);
+  EXPECT_EQ(Restarted.counters().DiskHits, 1);
+  EXPECT_EQ(Restarted.counters().Insertions, 0);
+  struct stat After;
+  ASSERT_EQ(::stat(Path.c_str(), &After), 0);
+  EXPECT_EQ(After.st_ino, Before.st_ino);
+  EXPECT_EQ(After.st_mtim.tv_sec, Before.st_mtim.tv_sec);
+  EXPECT_EQ(After.st_mtim.tv_nsec, Before.st_mtim.tv_nsec);
+  // The promoted plan now answers from memory.
+  ASSERT_NE(Restarted.lookup(Fp), nullptr);
+  EXPECT_EQ(Restarted.counters().DiskHits, 1);
 }
 
 TEST(PlanCacheTest, CorruptDiskEntriesAreMissesNeverCrashes) {
@@ -490,6 +522,47 @@ TEST(StencilServiceTest, WaitOnUnknownJobIdReturnsBadJobId) {
   // The phantom id leaves no trace in the ledger.
   EXPECT_EQ(Service.stats().JobsSubmitted, 0);
   EXPECT_EQ(Service.stats().JobsFailed, 0);
+}
+
+TEST(StencilServiceTest, DeliveredJobsAgeOutOfTheJobTable) {
+  StencilService::Options Opts;
+  Opts.Workers = 2;
+  Opts.TimelineRingCap = 4;
+  StencilService Service(machine(), Opts);
+  auto Submit = [&] {
+    StencilService::JobRequest Req;
+    Req.Kind = StencilService::SourceKind::FortranAssignment;
+    Req.Source = "R = C1*CSHIFT(X,1,-1) + C2*X";
+    Req.SubRows = Req.SubCols = 8;
+    return Service.submit(Req);
+  };
+
+  // A job nobody has waited on is kept however many others are served.
+  const StencilService::JobId Undelivered = Submit();
+  std::vector<StencilService::JobId> Ids;
+  for (int I = 0; I != 40; ++I) {
+    Ids.push_back(Submit());
+    ASSERT_TRUE(Service.wait(Ids.back()).Ok);
+  }
+  EXPECT_TRUE(Service.wait(Undelivered).Ok);
+
+  // Delivered jobs older than the last TimelineRingCap deliveries are
+  // gone, and answer like an id that was never issued.
+  for (int I = 0; I + 5 < static_cast<int>(Ids.size()); ++I) {
+    EXPECT_EQ(Service.poll(Ids[I]), StencilService::JobState::Failed);
+    StencilService::JobResult R = Service.wait(Ids[I]);
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Status, StencilService::JobStatus::BadJobId);
+  }
+  // The most recent ones can still be waited on again.
+  for (int I = static_cast<int>(Ids.size()) - 3;
+       I != static_cast<int>(Ids.size()); ++I) {
+    EXPECT_EQ(Service.poll(Ids[I]), StencilService::JobState::Done);
+    EXPECT_TRUE(Service.wait(Ids[I]).Ok);
+  }
+  // Erasing entries changes no ledger.
+  EXPECT_EQ(Service.stats().JobsSubmitted, 41);
+  EXPECT_EQ(Service.stats().JobsCompleted, 41);
 }
 
 //===----------------------------------------------------------------------===//
