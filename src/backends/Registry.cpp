@@ -43,20 +43,13 @@ cmcc::createBackend(std::string_view Name, const MachineConfig &Config,
                     const Executor::Options &ExecOpts) {
   if (Name == "cm2")
     return std::make_unique<Cm2Backend>(Config, ExecOpts);
-  if (Name == "native") {
-    NativeBackend::Options Opts;
-    Opts.AllowCornerSkip = ExecOpts.AllowCornerSkip;
-    Opts.ThreadCount = ExecOpts.ThreadCount;
-    Opts.Domain = ExecOpts.Domain;
-    Opts.Transport = ExecOpts.Transport;
-    return std::make_unique<NativeBackend>(Config, Opts);
-  }
+  // The host backends take the host-run part of the executor options.
+  if (Name == "native")
+    return std::make_unique<NativeBackend>(
+        Config, static_cast<const HostRunOptions &>(ExecOpts));
   if (Name == "njit") {
     NjitBackend::Options Opts;
-    Opts.AllowCornerSkip = ExecOpts.AllowCornerSkip;
-    Opts.ThreadCount = ExecOpts.ThreadCount;
-    Opts.Domain = ExecOpts.Domain;
-    Opts.Transport = ExecOpts.Transport;
+    static_cast<HostRunOptions &>(Opts) = ExecOpts;
     return std::make_unique<NjitBackend>(Config, Opts);
   }
   return nullptr;

@@ -6,10 +6,16 @@
 ///
 /// \file
 /// A host-speed execution backend: lowers the recognized StencilSpec
-/// directly to a tiled, thread-pooled C++ loop nest — no sequencer, no
-/// FPU pipeline model, no simulation. The same recognizer/compiler
-/// output the CM-2 backend consumes drives real hardware, the way
-/// ForOpenCL lowers the same array syntax to plain accelerator loops.
+/// directly to a C++ loop nest — no sequencer, no FPU pipeline model,
+/// no simulation. The same recognizer/compiler output the CM-2 backend
+/// consumes drives real hardware, the way ForOpenCL lowers the same
+/// array syntax to plain accelerator loops.
+///
+/// Everything around the loop nest is the shared host run driver
+/// (runtime/HostRun.h): the §5.1 exchange, the row-tiled thread-pool
+/// dispatch, time tiling and the wall-clock TimingReport. This backend
+/// contributes only the generic row kernel, which interprets the spec
+/// tap by tap behind the driver's row-kernel ABI.
 ///
 /// Numerics are kept aligned with the simulated FPU on purpose:
 ///
@@ -28,43 +34,20 @@
 /// agree bitwise for single-term stencils and to 1 ulp per term
 /// otherwise — the contract tests/backend_equivalence_test enforces.
 ///
-/// Timing reports carry measured wall-clock (in the host-seconds
-/// field; the simulated cycle breakdown is zero), so measuredMflops()
-/// is real machine throughput.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CMCC_BACKENDS_NATIVE_NATIVEBACKEND_H
 #define CMCC_BACKENDS_NATIVE_NATIVEBACKEND_H
 
-#include "runtime/Backend.h"
-#include "runtime/HaloTransport.h"
-#include "runtime/Partition.h"
+#include "runtime/HostRun.h"
 
 namespace cmcc {
 
 /// Host-speed execution of compiled stencils.
 class NativeBackend : public ExecutionBackend {
 public:
-  struct Options {
-    /// Skip corner halo data for cornerless stencils (same default as
-    /// the simulated path; skipped corners stay NaN-poisoned).
-    bool AllowCornerSkip = true;
-    /// Host threads: 0 uses the process-wide shared pool
-    /// (CMCC_THREADS), N >= 1 a leased pool of exactly N threads
-    /// (ThreadPool::lease, reused across runs).
-    /// Thread count never changes results — tiles are disjoint.
-    int ThreadCount = 0;
-    /// Rows per parallel tile. Small enough to load-balance the pool
-    /// even on one node's subgrid, large enough that a tile's rows
-    /// amortize the dispatch.
-    int RowsPerTile = 32;
-    /// When set, this backend runs one shard's block of a larger node
-    /// grid; block-edge halo traffic moves through Transport. Null runs
-    /// the whole grid in-process.
-    const PartitionDomain *Domain = nullptr;
-    HaloTransport *Transport = nullptr;
-  };
+  /// Corner skip, pool and shard domain: the host run driver's options.
+  using Options = HostRunOptions;
 
   explicit NativeBackend(const MachineConfig &Config) : Config(Config) {}
   NativeBackend(const MachineConfig &Config, Options Opts)
@@ -79,22 +62,18 @@ public:
   using ExecutionBackend::runResolved;
   using ExecutionBackend::timeOnly;
 
-  /// Computes the result arrays once and reports measured wall-clock
-  /// seconds per iteration (the functional pass is identical for every
-  /// iteration, as on the simulated machine). With Opts.TimeTile = k >
-  /// 1, one wide exchange feeds k chained steps: intermediate steps
-  /// compute shrinking extended rectangles in scratch (per-point
-  /// arithmetic is position-independent here, so no owner replay is
-  /// needed), zero-masked at global Zero edges, and the last step
-  /// writes the result arrays.
+  /// Computes the result arrays once through the host run driver and
+  /// reports measured wall-clock seconds per iteration (the functional
+  /// pass is identical for every iteration, as on the simulated
+  /// machine).
   Expected<TimingReport>
   runResolved(const CompiledStencil &Compiled,
               const ResolvedStencilArguments &Resolved,
               const RunOptions &RO) const override;
 
-  /// Measures a real run over internally allocated scratch arrays of
-  /// the given per-node shape (deterministically filled); fails where
-  /// a run would, e.g. a border exceeding the subgrid.
+  /// Measures a real run over runOnScratch's deterministic arrays of
+  /// the given per-node shape; fails where a run would, e.g. a border
+  /// exceeding the subgrid.
   Expected<TimingReport> timeOnly(const CompiledStencil &Compiled, int SubRows,
                                   int SubCols,
                                   const RunOptions &RO) const override;

@@ -8,16 +8,15 @@
 #include "core/PlanFingerprint.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <dlfcn.h>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sys/stat.h>
-#include <unistd.h>
 
 using namespace cmcc;
 using namespace cmcc::njit;
@@ -27,47 +26,6 @@ namespace {
 bool fileExists(const std::string &Path) {
   struct stat St;
   return ::stat(Path.c_str(), &St) == 0 && S_ISREG(St.st_mode);
-}
-
-/// mkdir -p: creates every missing component of \p Dir.
-Error makeDirs(const std::string &Dir) {
-  std::string Partial;
-  size_t Begin = 0;
-  while (Begin <= Dir.size()) {
-    size_t End = Dir.find('/', Begin);
-    if (End == std::string::npos)
-      End = Dir.size();
-    Partial.append(Dir, Begin, End - Begin);
-    if (!Partial.empty() && ::mkdir(Partial.c_str(), 0755) != 0 &&
-        errno != EEXIST)
-      return makeError("njit: cannot create '" + Partial +
-                       "': " + std::strerror(errno));
-    Partial += '/';
-    Begin = End + 1;
-  }
-  return Error::success();
-}
-
-/// Writes \p Text to \p Path via a process-unique temporary and an
-/// atomic rename, so a concurrent reader never sees a torn file.
-Error writeFileAtomic(const std::string &Path, const std::string &Text) {
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
-  std::FILE *F = std::fopen(Tmp.c_str(), "wb");
-  if (!F)
-    return makeError("njit: cannot write '" + Tmp +
-                     "': " + std::strerror(errno));
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  bool Ok = Written == Text.size() && std::fclose(F) == 0;
-  if (!Ok) {
-    ::remove(Tmp.c_str());
-    return makeError("njit: short write to '" + Tmp + "'");
-  }
-  if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    ::remove(Tmp.c_str());
-    return makeError("njit: cannot install '" + Path +
-                     "': " + std::strerror(errno));
-  }
-  return Error::success();
 }
 
 /// Single-quotes \p S for a POSIX shell command line.
@@ -174,7 +132,7 @@ Expected<Artifact> ArtifactCache::loadArtifact(
   if (!Sym)
     return Reject(std::string("missing ") + KernelSymbol);
   Artifact A;
-  A.Kernel = reinterpret_cast<KernelFn>(Sym);
+  A.Kernel = reinterpret_cast<RowKernelFn>(Sym);
   return A;
 }
 
@@ -191,16 +149,22 @@ Error ArtifactCache::compileArtifact(uint64_t Fingerprint,
     CMCC_SPAN("njit.emit");
     Source = emitKernelSource(Spec, FpHex);
   }
-  if (Error E = makeDirs(Path.substr(0, Path.rfind('/'))))
-    return E;
+  const std::string Dir = Path.substr(0, Path.rfind('/'));
+  std::error_code EC;
+  std::filesystem::create_directories(Dir, EC);
+  if (EC)
+    return makeError("njit: cannot create '" + Dir + "': " + EC.message());
   // The .cpp is kept beside the .so for inspection (TUTORIAL §12).
   if (Error E = writeFileAtomic(SrcPath, Source))
-    return E;
+    return makeError("njit: " + E.message());
 
   if (fault::probe("njit.cc"))
     return fault::injectedFault("njit.cc");
 
-  const std::string Tmp = Path + ".tmp." + std::to_string(::getpid());
+  Expected<std::string> MaybeTmp = createTempBeside(Path);
+  if (!MaybeTmp)
+    return makeError("njit: " + MaybeTmp.error().message());
+  const std::string &Tmp = *MaybeTmp;
   const std::string Cmd = shellQuote(TC->Compiler) + " " + CompileFlags +
                           " -o " + shellQuote(Tmp) + " " +
                           shellQuote(SrcPath) + " 2> " + shellQuote(LogPath);
@@ -221,11 +185,8 @@ Error ArtifactCache::compileArtifact(uint64_t Fingerprint,
                             std::to_string(Rc) + ") for plan " + FpHex +
                             "; see " + LogPath);
   }
-  if (::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    ::remove(Tmp.c_str());
-    return makeError("njit: cannot install '" + Path +
-                     "': " + std::strerror(errno));
-  }
+  if (Error E = installFile(Tmp, Path))
+    return makeError("njit: " + E.message());
   return Error::success();
 }
 

@@ -43,6 +43,7 @@
 
 #include "backends/njit/Emitter.h"
 #include "backends/njit/Toolchain.h"
+#include "runtime/HostRun.h"
 #include "stencil/StencilSpec.h"
 #include "support/Error.h"
 #include <atomic>
@@ -56,7 +57,7 @@ namespace njit {
 
 /// One loaded kernel.
 struct Artifact {
-  KernelFn Kernel = nullptr;
+  RowKernelFn Kernel = nullptr;
 };
 
 /// The two-tier kernel cache for one artifact directory.

@@ -31,11 +31,14 @@
 /// are bitwise identical to native and inherit native's ≤ 1-ulp-per-term
 /// agreement with the simulated cm2 FPU.
 ///
-/// Kernel ABI (KernelAbiVersion): one extern "C" entry point computing
-/// result rows [RowBegin, RowEnd) of one node's subgrid. Per-tap base
-/// pointers arrive pre-resolved — source bases already offset to
-/// (Border + Dy, Border + Dx) of the padded halo array — so the kernel
-/// contains no offset arithmetic at all, only the unrolled chain.
+/// Kernel ABI (KernelAbiVersion): one extern "C" entry point with the
+/// host run driver's RowKernelFn signature (runtime/HostRun.h),
+/// computing rows [RowBegin, RowEnd) of one node's output rectangle.
+/// Per-tap base pointers arrive pre-resolved — source bases already
+/// offset to (Border + Dy, Border + Dx) of the padded halo array — so
+/// the kernel contains no offset arithmetic at all, only the unrolled
+/// chain. Slots a tap does not use are never read (the emitted code
+/// hard-codes which slots exist).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,15 +53,6 @@ namespace njit {
 
 /// Bump together with Toolchain::EmitterVersion on any ABI change.
 inline constexpr int KernelAbiVersion = 1;
-
-/// The exported kernel's signature. Tap pointer/stride arrays are
-/// indexed by StencilSpec tap order; slots a tap does not use are never
-/// read (the emitted code hard-codes which slots exist).
-using KernelFn = void (*)(float *Out, long OutStride,
-                          const float *const *TapSrc, const long *TapSrcStride,
-                          const float *const *TapCoeff,
-                          const long *TapCoeffStride, long RowBegin,
-                          long RowEnd, long Cols);
 
 /// Symbol names the emitted shared object exports.
 inline constexpr const char *KernelSymbol = "cmcc_njit_kernel";

@@ -15,10 +15,11 @@
 /// njit pays one cc invocation per plan fingerprint, and both amortize
 /// it over every subsequent run through a cache keyed by the plan.
 ///
-/// Everything around the kernel is shared with the native backend: the
-/// §5.1 halo-exchange protocol, the row-tiled thread-pool dispatch, the
-/// resolveStencilArguments validation, and the wall-clock TimingReport.
-/// The kernel computes the identical sequence of rounded float
+/// Everything around the kernel is the host run driver it shares with
+/// the native backend (runtime/HostRun.h): the §5.1 halo-exchange
+/// protocol, the row-tiled thread-pool dispatch, time tiling and the
+/// wall-clock TimingReport. The dlopen'd kernel is called through the
+/// driver's row-kernel ABI directly. The kernel computes the identical sequence of rounded float
 /// operations (emitted and compiled with -ffp-contract=off), so njit
 /// results are bitwise equal to native and inherit native's ≤1-ulp
 /// contract with cm2 (backend_equivalence_test runs all three).
@@ -35,29 +36,18 @@
 #define CMCC_BACKENDS_NJIT_NJITBACKEND_H
 
 #include "backends/njit/ArtifactCache.h"
-#include "runtime/Backend.h"
-#include "runtime/HaloTransport.h"
-#include "runtime/Partition.h"
+#include "runtime/HostRun.h"
 
 namespace cmcc {
 
 /// Plan-specialized JIT execution of compiled stencils.
 class NjitBackend : public ExecutionBackend {
 public:
-  struct Options {
-    /// Same tiling/pool/corner options as the native backend — the
-    /// dispatch around the kernel is identical machinery.
-    bool AllowCornerSkip = true;
-    int ThreadCount = 0;
-    int RowsPerTile = 32;
+  /// The host run driver's options plus the artifact cache's home.
+  struct Options : HostRunOptions {
     /// Artifact-cache root. Empty means CMCC_NJIT_CACHE_DIR from the
     /// environment, or ".cmccjit" (beside ".cmccode", the plan cache).
     std::string CacheDir;
-    /// When set, this backend runs one shard's block of a larger node
-    /// grid; block-edge halo traffic moves through Transport. Null runs
-    /// the whole grid in-process.
-    const PartitionDomain *Domain = nullptr;
-    HaloTransport *Transport = nullptr;
   };
 
   explicit NjitBackend(const MachineConfig &Config)
@@ -74,7 +64,7 @@ public:
   using ExecutionBackend::timeOnly;
 
   /// Looks up (or emits + compiles + loads) the plan's kernel, then
-  /// runs it under the native backend's halo/tiling protocol. Reports
+  /// runs it through the host run driver. Reports
   /// measured wall-clock seconds per iteration; the JIT cost is *not*
   /// in the report — it is a per-plan cost, visible in the
   /// njit.compile_us histogram and in a service's cold-submit latency.
@@ -83,7 +73,7 @@ public:
               const ResolvedStencilArguments &Resolved,
               const RunOptions &RO) const override;
 
-  /// Measures a real run over deterministically filled scratch arrays,
+  /// Measures a real run over runOnScratch's deterministic arrays,
   /// exactly like the native backend.
   Expected<TimingReport> timeOnly(const CompiledStencil &Compiled, int SubRows,
                                   int SubCols,

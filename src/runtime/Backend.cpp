@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Backend.h"
+#include <memory>
 
 using namespace cmcc;
 
@@ -18,6 +19,33 @@ Expected<TimingReport> ExecutionBackend::run(const CompiledStencil &Compiled,
   if (!Resolved)
     return Resolved.error();
   return runResolved(Compiled, *Resolved, Opts);
+}
+
+Expected<TimingReport>
+ExecutionBackend::runOnScratch(const CompiledStencil &Compiled, int SubRows,
+                               int SubCols, const RunOptions &Opts) const {
+  const StencilSpec &Spec = Compiled.Spec;
+  const NodeGrid Grid(machine());
+  DistributedArray Result(Grid, SubRows, SubCols);
+  std::vector<std::unique_ptr<DistributedArray>> Owned;
+  uint64_t Seed = 1;
+  auto MakeScratch = [&] {
+    Owned.push_back(std::make_unique<DistributedArray>(Grid, SubRows, SubCols));
+    DistributedArray &A = *Owned.back();
+    for (int Id = 0; Id != Grid.nodeCount(); ++Id)
+      A.subgrid(Grid.coordOf(Id)).fillRandom(Seed * 7919 + Id);
+    ++Seed;
+    return &A;
+  };
+
+  StencilArguments Args;
+  Args.Result = &Result;
+  Args.Source = MakeScratch();
+  for (const std::string &Name : Spec.ExtraSources)
+    Args.ExtraSources[Name] = MakeScratch();
+  for (const std::string &Name : Spec.coefficientArrayNames())
+    Args.Coefficients[Name] = MakeScratch();
+  return run(Compiled, Args, Opts);
 }
 
 Expected<ResolvedStencilArguments>

@@ -15,19 +15,25 @@
 ///
 /// An ExecutionBackend takes a CompiledStencil plus the bound
 /// StencilArguments and returns results in the arrays plus a
-/// TimingReport. Two backends exist today:
+/// TimingReport. Four backends exist today:
 ///
 ///   * backends/cm2  — the paper's simulated machine: halo-exchange
 ///     protocol, strip mining, FPU pipeline model, analytic cycle
 ///     accounting. Reports *simulated* machine time.
-///   * backends/native — a host-speed lowering of the recognized spec
-///     to a tiled, thread-pooled, auto-vectorizable C++ loop nest (no
-///     simulation). Reports measured *wall-clock* time.
+///   * backends/native — a host-speed, auto-vectorizable row kernel
+///     that interprets the recognized spec (no simulation). Reports
+///     measured *wall-clock* time.
+///   * backends/njit — the same run with a plan-specialized row kernel
+///     compiled out of process and dlopen'd.
+///   * shard — any of the above over a fleet of worker processes, each
+///     owning a block of the node grid.
 ///
-/// Both resolve argument names through the same once-per-run
-/// resolution below, exchange halos through the same protocol, and are
-/// asserted equivalent (1 ulp per term; bitwise for single-term
-/// stencils) by tests/backend_equivalence_test.
+/// native and njit are thin callers of one host run driver
+/// (runtime/HostRun.h) and differ only in their row kernel. Every
+/// backend resolves argument names through the same once-per-run
+/// resolution below and exchanges halos through the same protocol;
+/// tests/backend_equivalence_test asserts them equivalent (1 ulp per
+/// term against cm2, bitwise between native and njit).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -160,6 +166,17 @@ public:
 
   /// The machine this backend executes for (node grid, clock).
   virtual const MachineConfig &machine() const = 0;
+
+protected:
+  /// run() over scratch arrays of SubRows x SubCols per node on
+  /// machine()'s grid, each node's subgrid filled from seed
+  /// Seed * 7919 + NodeId, with Seed counting 1, 2, ... over the
+  /// source, the extra sources and the coefficient arrays. Every
+  /// measuring backend's timeOnly runs here, so their timing runs
+  /// compute identical values.
+  Expected<TimingReport> runOnScratch(const CompiledStencil &Compiled,
+                                      int SubRows, int SubCols,
+                                      const RunOptions &Opts) const;
 };
 
 } // namespace cmcc

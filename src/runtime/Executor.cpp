@@ -10,8 +10,6 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/FpuBinding.h"
-#include "runtime/HaloExchange.h"
-#include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
 #include <algorithm>
 #include <cmath>
@@ -423,69 +421,12 @@ Executor::runResolved(const CompiledStencil &Compiled,
     ThreadPool *Pool = PoolLease.get();
 
     // Step one of the run-time library: the halo exchange (the paper's
-    // three-step protocol), once per source array, all nodes at once.
-    // Tiled runs always fetch corners — intermediate side-pad values
-    // feed corner-adjacent cells of later steps even for cornerless
-    // stencils.
-    const bool FetchCorners =
-        K > 1 || Spec.needsCornerData() || !Opts.AllowCornerSkip;
-    auto Exchange = [&](const DistributedArray &A, int SourceIndex,
-                        int B) -> Expected<std::vector<Array2D>> {
-      // Probed per exchange step, not per run: any one of a run's
-      // exchanges can be lost. Failing before the compute loops means
-      // a failed run never leaves partial results — every retry starts
-      // from untouched sources.
-      if (fault::probe("halo.exchange"))
-        return fault::injectedFault("halo.exchange");
-      if (Opts.Domain)
-        return exchangeHalosPartitioned(A, *Opts.Domain, Opts.Transport,
-                                        SourceIndex, B, Spec.BoundaryDim1,
-                                        Spec.BoundaryDim2, FetchCorners,
-                                        Pool);
-      return exchangeHalos(A, B, Spec.BoundaryDim1, Spec.BoundaryDim2,
-                           FetchCorners, Pool);
-    };
-    std::vector<std::vector<Array2D>> PaddedBySource;
-    PaddedBySource.reserve(Spec.sourceCount());
-    for (int S = 0; S != Spec.sourceCount(); ++S) {
-      Expected<std::vector<Array2D>> Padded =
-          Exchange(*Resolved.Sources[S], S, Border);
-      if (!Padded)
-        return Padded.error();
-      PaddedBySource.push_back(std::move(*Padded));
-    }
-
-    // Tiled runs also exchange each distinct coefficient array once:
-    // intermediate pad cells index coefficients at owner positions.
-    // Dedup by name in first-appearance tap order — deterministic
-    // across shard workers, and matching analyticCycles — with
-    // transport source indices following the real sources.
-    std::vector<std::vector<Array2D>> CoeffPadded;
-    std::vector<int> TapCoeffOrdinal(Spec.Taps.size(), -1);
-    if (K > 1) {
-      const std::vector<std::string> Names = Spec.coefficientArrayNames();
-      for (size_t I = 0; I != Spec.Taps.size(); ++I)
-        if (Spec.Taps[I].Coeff.isArray())
-          TapCoeffOrdinal[I] = static_cast<int>(
-              std::find(Names.begin(), Names.end(), Spec.Taps[I].Coeff.Name) -
-              Names.begin());
-      CoeffPadded.resize(Names.size());
-      for (size_t N = 0; N != Names.size(); ++N) {
-        const DistributedArray *C = nullptr;
-        for (size_t I = 0; I != Spec.Taps.size(); ++I)
-          if (TapCoeffOrdinal[I] == static_cast<int>(N)) {
-            C = Resolved.TapCoefficients[I];
-            break;
-          }
-        assert(C && "coefficient name resolved to no array");
-        Expected<std::vector<Array2D>> Padded =
-            Exchange(*C, Spec.sourceCount() + static_cast<int>(N),
-                     CoeffBorder);
-        if (!Padded)
-          return Padded.error();
-        CoeffPadded[N] = std::move(*Padded);
-      }
-    }
+    // three-step protocol), once per source array, all nodes at once,
+    // plus the coefficient pads of a tiled run.
+    Expected<ExchangedOperands> X =
+        exchangeOperands(Opts, Spec, Resolved, K, Pool);
+    if (!X)
+      return X.error();
 
     const NodeGrid &Grid = Resolved.Result->grid();
     std::vector<int> NodeIds;
@@ -500,7 +441,7 @@ Executor::runResolved(const CompiledStencil &Compiled,
     long TiledNode0Ops = 0;
     std::vector<std::vector<Array2D>> FinalInput;
     if (K == 1) {
-      FinalInput = std::move(PaddedBySource);
+      FinalInput = std::move(X->Sources);
     } else {
       // K-1 intermediate steps through double-buffered wide scratch,
       // then the final step writes the result subgrids directly. The
@@ -511,15 +452,15 @@ Executor::runResolved(const CompiledStencil &Compiled,
       Buffers[1].resize(static_cast<size_t>(Grid.nodeCount()));
       for (size_t S = 0; S != Steps.size(); ++S) {
         std::vector<Array2D> &In =
-            S == 0 ? PaddedBySource[0] : Buffers[(S - 1) & 1];
+            S == 0 ? X->Sources[0] : Buffers[(S - 1) & 1];
         std::vector<Array2D> &Out = Buffers[S & 1];
         Pool->parallelFor(static_cast<int>(NodeIds.size()), [&](int I) {
           const int Id = NodeIds[static_cast<size_t>(I)];
           std::vector<const Array2D *> NodeCoeffs(Spec.Taps.size(), nullptr);
           for (size_t T = 0; T != Spec.Taps.size(); ++T)
-            if (TapCoeffOrdinal[T] >= 0)
-              NodeCoeffs[T] = &CoeffPadded[static_cast<size_t>(
-                  TapCoeffOrdinal[T])][static_cast<size_t>(Id)];
+            if (X->TapCoefficient[T] >= 0)
+              NodeCoeffs[T] = &X->Coefficients[static_cast<size_t>(
+                  X->TapCoefficient[T])][static_cast<size_t>(Id)];
           runNodeTiledStep(Compiled, In[static_cast<size_t>(Id)],
                            Out[static_cast<size_t>(Id)], NodeCoeffs,
                            Steps[S], Grid.coordOf(Id), Border, CoeffBorder,

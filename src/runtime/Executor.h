@@ -27,8 +27,7 @@
 #include "core/Compiler.h"
 #include "runtime/Backend.h"
 #include "runtime/DistributedArray.h"
-#include "runtime/HaloTransport.h"
-#include "runtime/Partition.h"
+#include "runtime/HostRun.h"
 #include "runtime/StripMiner.h"
 #include "runtime/TimeTile.h"
 #include <map>
@@ -50,10 +49,10 @@ public:
     None,
   };
 
-  struct Options {
+  /// The host-run options (corner skip, pool, shard domain) plus the
+  /// simulated machine's own knobs.
+  struct Options : HostRunOptions {
     CommPrimitive Primitive = CommPrimitive::NodeGridExchange;
-    /// Skip the corner-exchange step for cornerless stencils (§5.1).
-    bool AllowCornerSkip = true;
     /// Process strips as two half-strips (§5.2); false = ablation A3.
     bool UseHalfStrips = true;
     /// Force a single multistencil width (0 = greedy widest).
@@ -64,20 +63,6 @@ public:
     /// FpuMemoryInterface reference binding; results are bitwise
     /// identical either way (tested).
     bool UseFastPath = true;
-    /// Host threads for the functional fan-out: 0 uses the process-wide
-    /// shared pool (CMCC_THREADS env var, else hardware concurrency);
-    /// N >= 1 uses a leased pool of exactly N threads
-    /// (ThreadPool::lease, reused across runs). Thread count
-    /// never changes results or simulated timing — nodes are
-    /// independent after the halo exchange.
-    int ThreadCount = 0;
-    /// When set, this executor runs one shard's block of a larger node
-    /// grid: the machine config describes the local block, and halo
-    /// traffic crossing the block's edges moves through Transport (the
-    /// transport-abstracted §5.1 protocol in runtime/HaloExchange.h).
-    /// Null runs the whole grid in-process, exactly as before.
-    const PartitionDomain *Domain = nullptr;
-    HaloTransport *Transport = nullptr;
   };
 
   explicit Executor(const MachineConfig &Config) : Config(Config) {}

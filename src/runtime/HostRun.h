@@ -1,0 +1,131 @@
+//===- runtime/HostRun.h - The host run driver ----------------*- C++ -*-===//
+//
+// Part of the CMCC project (PLDI 1991 convolution-compiler reproduction).
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The run-time library of the host backends. In the paper one library
+/// allocates halo storage, exchanges borders and strip-mines the
+/// subgrid, and only the microcode it drives changes per stencil (§5).
+/// Here runOnHost() is that library for native and njit: it validates
+/// the time tile, leases the pool, runs the §5.1 exchange, cuts every
+/// node's (extended) subgrid into row tiles and hands each tile to a
+/// row kernel. The row kernel is the only part that differs: native
+/// passes its generic tap-loop interpreter, njit its dlopen'd
+/// plan-specialized kernel.
+///
+/// A time-tiled run (depth k > 1) chains k passes behind one wide
+/// exchange: k-1 intermediate passes compute shrinking extended
+/// rectangles into double-buffered scratch, zero-masked at global Zero
+/// edges (runtime/TimeTile.h), and the last pass writes the result.
+///
+/// The exchange prologue, exchangeOperands(), is shared with the cm2
+/// Executor, whose per-node steps drive the FPU pipeline model instead
+/// of a row kernel.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef CMCC_RUNTIME_HOSTRUN_H
+#define CMCC_RUNTIME_HOSTRUN_H
+
+#include "runtime/Backend.h"
+#include "runtime/HaloTransport.h"
+#include "runtime/Partition.h"
+#include <functional>
+#include <type_traits>
+#include <vector>
+
+namespace cmcc {
+
+class ThreadPool;
+
+/// How a host run exchanges halos and which pool it runs on. The native
+/// and njit backends take these as their options; the cm2 Executor's
+/// options extend them.
+struct HostRunOptions {
+  /// Skip the corner-exchange step for cornerless stencils (§5.1);
+  /// skipped corners stay NaN-poisoned.
+  bool AllowCornerSkip = true;
+  /// Host threads: 0 uses the process-wide shared pool (CMCC_THREADS
+  /// env var, else hardware concurrency); N >= 1 a leased pool of
+  /// exactly N threads (ThreadPool::lease, reused across runs). Thread
+  /// count never changes results or simulated timing — the parallel
+  /// work items are disjoint.
+  int ThreadCount = 0;
+  /// When set, the run covers one shard's block of a larger node grid:
+  /// the machine config describes the local block, and halo traffic
+  /// crossing the block's edges moves through Transport (the
+  /// transport-abstracted §5.1 protocol in runtime/HaloExchange.h).
+  /// Null runs the whole grid in-process.
+  const PartitionDomain *Domain = nullptr;
+  HaloTransport *Transport = nullptr;
+};
+
+/// The row-kernel ABI: computes rows [RowBegin, RowEnd) of one node's
+/// output rectangle, Cols wide, into Out (row stride OutStride). The
+/// per-tap arrays are indexed in StencilSpec tap order and arrive
+/// pre-resolved, so a kernel does no offset arithmetic: TapSrc[I]
+/// points at row 0 of the tap's (Dy, Dx) shift in the padded source
+/// (null for bare-coefficient terms), TapCoeff[I] at row 0 of the
+/// coefficient array (null for scalar coefficients). njit's emitted
+/// kernels export exactly this signature.
+using RowKernelFn = void (*)(float *Out, long OutStride,
+                             const float *const *TapSrc,
+                             const long *TapSrcStride,
+                             const float *const *TapCoeff,
+                             const long *TapCoeffStride, long RowBegin,
+                             long RowEnd, long Cols);
+
+/// A row kernel of that signature that may carry state (native's
+/// folded signs and immediates).
+using RowKernel = std::function<std::remove_pointer_t<RowKernelFn>>;
+
+/// A run's padded operands after the §5.1 exchange.
+struct ExchangedOperands {
+  /// By StencilSpec source index, then node id: padded by
+  /// TimeTile x radius.
+  std::vector<std::vector<Array2D>> Sources;
+  /// Tiled runs only: each distinct coefficient array (by name, in
+  /// first-appearance tap order), then node id, padded by
+  /// (TimeTile - 1) x radius. Intermediate pad cells multiply by the
+  /// *owner's* coefficients.
+  std::vector<std::vector<Array2D>> Coefficients;
+  /// Parallel to StencilSpec::Taps: the tap's index into Coefficients,
+  /// or -1.
+  std::vector<int> TapCoefficient;
+};
+
+/// The exchange prologue of every run: the `halo.exchange` fault probe
+/// per exchange, corner fetching (always when tiled — intermediate
+/// side-pad values feed corner-adjacent cells of later steps), the
+/// in-process or partitioned protocol, and — when \p TimeTile > 1 —
+/// the coefficient pads, with transport source indices following the
+/// real sources. The order is deterministic across shard workers.
+/// Fails before any result is written, so a retry starts from
+/// untouched sources.
+Expected<ExchangedOperands>
+exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
+                 const ResolvedStencilArguments &Resolved, int TimeTile,
+                 ThreadPool *Pool);
+
+/// Span names under which one host backend's phases are traced.
+struct HostRunSpans {
+  const char *Exchange;
+  const char *Compute;
+};
+
+/// Runs \p Spec over \p Resolved on the host with \p Kernel computing
+/// every row tile, and reports measured wall-clock seconds in the host
+/// field of the TimingReport (the simulated cycle breakdown is zero).
+/// One fused unit advances RO.TimeTile timesteps.
+Expected<TimingReport> runOnHost(const MachineConfig &Config,
+                                 const HostRunOptions &Opts,
+                                 const StencilSpec &Spec,
+                                 const ResolvedStencilArguments &Resolved,
+                                 const RunOptions &RO, const RowKernel &Kernel,
+                                 const HostRunSpans &Spans);
+
+} // namespace cmcc
+
+#endif // CMCC_RUNTIME_HOSTRUN_H

@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "service/Autotuner.h"
-#include "backends/native/NativeBackend.h"
 #include "core/PlanFingerprint.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "runtime/TimeTile.h"
+#include "support/AtomicFile.h"
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -75,7 +74,7 @@ Autotuner::loadRecord(uint64_t Fingerprint, const std::string &BackendName) {
     return std::nullopt;
   };
   std::string Line;
-  if (!std::getline(In, Line) || Line != "cmcc-tune v1")
+  if (!std::getline(In, Line) || Line != "cmcc-tune v2")
     return Reject();
 
   TunedParams P;
@@ -108,12 +107,6 @@ Autotuner::loadRecord(uint64_t Fingerprint, const std::string &BackendName) {
       if (!(LS >> P.TimeTile) || P.TimeTile < 1)
         return Reject();
       SawTile = true;
-    } else if (Key == "threads") {
-      if (!(LS >> P.ThreadCount) || P.ThreadCount < 0)
-        return Reject();
-    } else if (Key == "rows_per_tile") {
-      if (!(LS >> P.RowsPerTile) || P.RowsPerTile < 1)
-        return Reject();
     } else if (Key == "score_us") {
       if (!(LS >> P.ScoreUs))
         return Reject();
@@ -133,17 +126,16 @@ void Autotuner::storeRecord(uint64_t Fingerprint,
     return;
   std::error_code EC;
   std::filesystem::create_directories(Opts.Dir, EC);
-  std::ofstream Out(recordPath(Opts.Dir, Fingerprint), std::ios::trunc);
-  if (!Out)
-    return; // Persistence is best-effort; memory still has the winner.
-  Out << "cmcc-tune v1\n"
+  std::ostringstream Out;
+  Out << "cmcc-tune v2\n"
       << "fingerprint " << fingerprintHex(Fingerprint) << "\n"
       << "machine " << machineStamp() << "\n"
       << "backend " << BackendName << "\n"
       << "time_tile " << P.TimeTile << "\n"
-      << "threads " << P.ThreadCount << "\n"
-      << "rows_per_tile " << P.RowsPerTile << "\n"
       << "score_us " << P.ScoreUs << "\n";
+  // Persistence is best-effort; memory still has the winner. Readers
+  // see the old record or the new one, never a torn one.
+  (void)writeFileAtomic(recordPath(Opts.Dir, Fingerprint), Out.str());
 }
 
 std::optional<Autotuner::TunedParams>
@@ -224,33 +216,6 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
   }
   if (Best.ScoreUs < 0.0)
     Best = TunedParams{}; // Every probe failed: keep the safe defaults.
-
-  // Host-loop knobs: for the native backend, probe the strip-tile
-  // height at the winning depth on private single-option instances
-  // (the knob is a constructor option, not a RunOptions field). Other
-  // backends keep the defaults — the record still carries them.
-  if (std::string_view(Backend.name()) == "native") {
-    double BestRowsUs = -1.0;
-    for (int Rows : {16, 32, 64}) {
-      NativeBackend::Options NO;
-      NO.RowsPerTile = Rows;
-      NativeBackend Probe(Config, NO);
-      RunOptions RO;
-      RO.TimeTile = Best.TimeTile;
-      const double HistBefore = runHostUsTotal();
-      Expected<TimingReport> Report =
-          Probe.timeOnly(Plan, SubRows, SubCols, RO);
-      if (!Report)
-        continue;
-      double Us = runHostUsTotal() - HistBefore;
-      if (Us <= 0.0)
-        Us = Report->HostSecondsPerIteration * 1e6;
-      if (BestRowsUs < 0.0 || Us < BestRowsUs) {
-        BestRowsUs = Us;
-        Best.RowsPerTile = Rows;
-      }
-    }
-  }
 
   storeRecord(Fingerprint, Backend.name(), Best);
   {

@@ -5,10 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small empirical autotuner for the execution knobs a compiled plan
-/// leaves open — today the time-tile depth (runtime/TimeTile.h), with
-/// the host-loop parameters (thread count, rows per strip tile)
-/// recorded alongside for backends that honor them.
+/// A small empirical autotuner for the execution knob a compiled plan
+/// leaves open: the time-tile depth (runtime/TimeTile.h).
 ///
 /// The tuner is keyed like the plan cache: per (plan fingerprint,
 /// machine). A cold key sweeps the candidate depths through the
@@ -21,15 +19,16 @@
 ///
 ///     <dir>/<fingerprint-hex>.tune
 ///
-///     cmcc-tune v1
+///     cmcc-tune v2
 ///     fingerprint <hex16>
 ///     machine <rows>x<cols>@<mhz>
 ///     backend <name>
 ///     time_tile <k>
-///     threads <n>
-///     rows_per_tile <n>
 ///     score_us <float>
 ///
+/// Records are replaced atomically (support/AtomicFile.h). v1 records,
+/// which also carried never-applied `threads` and `rows_per_tile`
+/// lines, are stale and re-swept.
 /// Warm keys are served from memory, then disk — never re-swept
 /// (counted, so tests can assert the sweep ran exactly once). A record
 /// that is truncated, corrupt, stale-versioned, or stamped for a
@@ -63,11 +62,6 @@ public:
   struct TunedParams {
     /// Chained timesteps fused behind one wide halo exchange.
     int TimeTile = 1;
-    /// Host threads (0 = shared pool); recorded for native-family
-    /// backends, informational elsewhere.
-    int ThreadCount = 0;
-    /// Rows per parallel strip tile (native-family backends).
-    int RowsPerTile = 32;
     /// The winner's per-timestep score in microseconds (host us for
     /// wall-clock backends, simulated us for cm2).
     double ScoreUs = 0.0;

@@ -7,6 +7,7 @@
 #include "service/PlanCache.h"
 #include "core/PlanFingerprint.h"
 #include "core/ScheduleIO.h"
+#include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
 #include <cstdio>
 #include <filesystem>
@@ -69,18 +70,9 @@ void PlanCache::storeToDisk(uint64_t Fingerprint,
   std::filesystem::create_directories(Opts.DiskDir, EC);
   if (EC)
     return; // Disk tier is best-effort; memory tier still works.
-  std::string Path = diskPathFor(Fingerprint);
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream Out(Tmp);
-    if (!Out)
-      return;
-    Out << writeCompiledStencil(Plan, Config);
-    if (!Out)
-      return;
-  }
-  // Rename so a concurrent reader never sees a half-written file.
-  std::filesystem::rename(Tmp, Path, EC);
+  // A failed write leaves no temporary behind and no partial file.
+  (void)writeFileAtomic(diskPathFor(Fingerprint),
+                        writeCompiledStencil(Plan, Config));
 }
 
 std::shared_ptr<const CompiledStencil>

@@ -115,7 +115,6 @@ std::vector<uint8_t> cmcc::shard::encodeInit(const InitMessage &M) {
   W.u8(M.UseFastPath ? 1 : 0);
   W.u32(static_cast<uint32_t>(M.ForceWidth));
   W.u32(static_cast<uint32_t>(M.ThreadCount));
-  W.u32(static_cast<uint32_t>(M.RowsPerTile));
   W.i64(M.TimeoutMs);
   return W.take();
 }
@@ -125,12 +124,12 @@ bool cmcc::shard::decodeInit(const std::vector<uint8_t> &Payload,
   ByteReader R(Payload.data(), Payload.size());
   if (!getConfig(R, M.Config))
     return false;
-  uint32_t SR = 0, SC = 0, Shard = 0, FW = 0, TC = 0, RPT = 0;
+  uint32_t SR = 0, SC = 0, Shard = 0, FW = 0, TC = 0;
   uint8_t Corner = 0, Half = 0, Fast = 0;
   int64_t Timeout = 0;
   bool Ok = R.u32(SR) && R.u32(SC) && R.u32(Shard) && R.str(M.Backend) &&
             R.u16(M.Primitive) && R.u8(Corner) && R.u8(Half) && R.u8(Fast) &&
-            R.u32(FW) && R.u32(TC) && R.u32(RPT) && R.i64(Timeout);
+            R.u32(FW) && R.u32(TC) && R.i64(Timeout);
   if (!Ok || !R.exhausted())
     return false;
   M.ShardRows = static_cast<int>(SR);
@@ -141,7 +140,6 @@ bool cmcc::shard::decodeInit(const std::vector<uint8_t> &Payload,
   M.UseFastPath = Fast != 0;
   M.ForceWidth = static_cast<int>(FW);
   M.ThreadCount = static_cast<int>(TC);
-  M.RowsPerTile = static_cast<int>(RPT);
   M.TimeoutMs = static_cast<long>(Timeout);
   return true;
 }

@@ -62,7 +62,6 @@ struct InitMessage {
   bool UseFastPath = true;
   int ForceWidth = 0;
   int ThreadCount = 0;
-  int RowsPerTile = 32;
   long TimeoutMs = 120000;
 };
 

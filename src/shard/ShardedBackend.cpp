@@ -698,30 +698,7 @@ Expected<TimingReport> ShardedBackend::timeOnly(const CompiledStencil &Compiled,
                                                 const RunOptions &RO) const {
   if (GridError)
     return GridError;
-  const StencilSpec &Spec = Compiled.Spec;
-  const NodeGrid G(Config);
-
-  // Scratch arrays with the native backend's exact deterministic
-  // seeding, so a sharded timing run computes the same values an
-  // unsharded one would.
-  DistributedArray Result(G, SubRows, SubCols);
-  std::vector<std::unique_ptr<DistributedArray>> Owned;
-  auto MakeScratch = [&](uint64_t Seed) {
-    Owned.push_back(std::make_unique<DistributedArray>(G, SubRows, SubCols));
-    DistributedArray &A = *Owned.back();
-    for (int Id = 0; Id != G.nodeCount(); ++Id)
-      A.subgrid(G.coordOf(Id)).fillRandom(Seed * 7919 + Id);
-    return &A;
-  };
-
-  StencilArguments Args;
-  Args.Result = &Result;
-  uint64_t Seed = 1;
-  Args.Source = MakeScratch(Seed++);
-  for (const std::string &Name : Spec.ExtraSources)
-    Args.ExtraSources[Name] = MakeScratch(Seed++);
-  for (const std::string &Name : Spec.coefficientArrayNames())
-    Args.Coefficients[Name] = MakeScratch(Seed++);
-
-  return run(Compiled, Args, RO);
+  // The measuring backends' scratch arrays, so a sharded timing run
+  // computes the same values an unsharded one would.
+  return runOnScratch(Compiled, SubRows, SubCols, RO);
 }

@@ -248,6 +248,33 @@ TEST(PlanCacheTest, DiskHitLeavesTheFileUntouched) {
   EXPECT_EQ(Restarted.counters().DiskHits, 1);
 }
 
+TEST(PlanCacheTest, StaleTempPathNeverBlocksTheDiskTier) {
+  MachineConfig M = machine();
+  ScratchDir Dir("stale_tmp");
+  uint64_t Fp = planFingerprint(makePattern(PatternId::Cross5), M);
+  std::string Path = Dir.Path + "/" + fingerprintHex(Fp) + ".cmccode";
+
+  // Debris where a fixed temp name would go (a crashed writer, another
+  // process mid-store): every store gets its own temporary, so the
+  // plan still reaches disk.
+  std::filesystem::create_directories(Path + ".tmp");
+  PlanCache::Options Opts;
+  Opts.DiskDir = Dir.Path;
+  {
+    PlanCache Writer(M, Opts);
+    Writer.insert(Fp, compileShared(M, PatternId::Cross5));
+  }
+  PlanCache Fresh(M, Opts);
+  EXPECT_NE(Fresh.lookup(Fp), nullptr);
+  EXPECT_EQ(Fresh.counters().DiskHits, 1);
+
+  // The store left no temporary of its own behind.
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+    EXPECT_TRUE(E.path() == Path + ".tmp" ||
+                E.path().filename().string().find(".tmp") == std::string::npos)
+        << E.path();
+}
+
 TEST(PlanCacheTest, CorruptDiskEntriesAreMissesNeverCrashes) {
   MachineConfig M = machine();
   ScratchDir Dir("corrupt");

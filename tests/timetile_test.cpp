@@ -47,6 +47,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <sys/stat.h>
 #include <vector>
 
 using namespace cmcc;
@@ -422,6 +423,11 @@ TEST_F(TimeTileTest, ShardedCm2TiledBitwiseAcrossGrids) { sweepSharded("cm2"); }
 TEST_F(TimeTileTest, ShardedNativeTiledBitwiseAcrossGrids) {
   sweepSharded("native");
 }
+TEST_F(TimeTileTest, ShardedNjitTiledBitwiseAcrossGrids) {
+  if (!isBackendAvailable("njit"))
+    GTEST_SKIP() << "no host toolchain for njit";
+  sweepSharded("njit");
+}
 
 //===----------------------------------------------------------------------===//
 // Faults: a lost exchange fails transiently; the retry is bitwise
@@ -431,32 +437,39 @@ TEST_F(TimeTileTest, ExchangeFaultRetryPreservesBitwiseEquality) {
   MachineConfig Config = MachineConfig::withNodeGrid(2, 2);
   StencilSpec Spec = corneredSpec();
   CompiledStencil Compiled = compileSpec(Config, Spec);
-  Cm2Backend Cm2(Config);
-
   const int K = 3;
-  Array2D Want = stepwiseBaseline(Cm2, Compiled, Config, 12, 12, K, 0xfa11);
 
-  // Arm the exchange site: the tiled run's single wide exchange (or one
-  // of its coefficient exchanges) is lost. The run must fail transient
-  // and leave the sources untouched for the retry.
-  fault::Rule Lost;
-  Lost.Site = "halo.exchange";
-  Lost.MaxFires = 1;
-  fault::Registry::process().arm(Lost);
+  for (const char *Name : {"cm2", "native", "njit"}) {
+    if (std::string_view(Name) == "njit" && !isBackendAvailable("njit"))
+      continue;
+    SCOPED_TRACE(Name);
+    std::unique_ptr<ExecutionBackend> B = createBackend(Name, Config);
+    ASSERT_NE(B, nullptr);
+    Array2D Want = stepwiseBaseline(*B, Compiled, Config, 12, 12, K, 0xfa11);
 
-  BoundArrays Side(Config, Spec, 12, 12, 0xfa11);
-  RunOptions RO;
-  RO.TimeTile = K;
-  Expected<TimingReport> Failed = Cm2.run(Compiled, Side.Args, RO);
-  ASSERT_FALSE(Failed) << "run survived a lost exchange";
-  EXPECT_TRUE(Failed.error().isTransient()) << Failed.error().message();
+    // Arm the exchange site: the tiled run's single wide exchange (or
+    // one of its coefficient exchanges) is lost. The run must fail
+    // transient and leave the sources untouched for the retry.
+    fault::Registry::process().reset();
+    fault::Rule Lost;
+    Lost.Site = "halo.exchange";
+    Lost.MaxFires = 1;
+    fault::Registry::process().arm(Lost);
 
-  // Same arrays, same rule registry (now exhausted): the retry runs
-  // clean and lands bitwise on the baseline — the failed attempt wrote
-  // nothing into Source.
-  Expected<TimingReport> Retry = Cm2.run(Compiled, Side.Args, RO);
-  ASSERT_TRUE(Retry) << Retry.error().message();
-  expectBitwise(Want, Side.R.gather(), "post-fault retry");
+    BoundArrays Side(Config, Spec, 12, 12, 0xfa11);
+    RunOptions RO;
+    RO.TimeTile = K;
+    Expected<TimingReport> Failed = B->run(Compiled, Side.Args, RO);
+    ASSERT_FALSE(Failed) << "run survived a lost exchange";
+    EXPECT_TRUE(Failed.error().isTransient()) << Failed.error().message();
+
+    // Same arrays, same rule registry (now exhausted): the retry runs
+    // clean and lands bitwise on the baseline — the failed attempt
+    // wrote nothing into Source.
+    Expected<TimingReport> Retry = B->run(Compiled, Side.Args, RO);
+    ASSERT_TRUE(Retry) << Retry.error().message();
+    expectBitwise(Want, Side.R.gather(), "post-fault retry");
+  }
 }
 
 TEST_F(TimeTileTest, ShardFaultRetryPreservesBitwiseEquality) {
@@ -567,7 +580,6 @@ TEST_F(TimeTileTest, AutotunerSweepsOnceThenServesWarm) {
   for (int I = 0; I != 3; ++I) {
     Autotuner::TunedParams Again = Tuner.resolve(Fp, *B, Compiled, 16, 16);
     EXPECT_EQ(Again.TimeTile, P.TimeTile);
-    EXPECT_EQ(Again.RowsPerTile, P.RowsPerTile);
   }
   C = Tuner.counters();
   EXPECT_EQ(C.Sweeps, 1);
@@ -608,7 +620,7 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
     Seeder.tune(Fp, *B, Compiled, 16, 16);
   }
   const std::string Good = readFile(Path);
-  ASSERT_NE(Good.find("cmcc-tune v1"), std::string::npos);
+  ASSERT_NE(Good.find("cmcc-tune v2"), std::string::npos);
   ASSERT_NE(Good.find("time_tile"), std::string::npos);
 
   struct Damage {
@@ -624,6 +636,8 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
       {"future key", Good + "voodoo 9\n"},
       {"wrong fingerprint",
        withLine(Good, "fingerprint", "fingerprint 00000000deadbeef")},
+      {"v1 record", withLine(Good, "cmcc-tune", "cmcc-tune v1") +
+                        "threads 0\nrows_per_tile 32\n"},
   };
 
   for (const Damage &D : Cases) {
@@ -654,6 +668,36 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
   Autotuner Tuner(Config, AO);
   EXPECT_FALSE(Tuner.lookup(Fp, *B).has_value());
   EXPECT_EQ(Tuner.counters().DiskRejects, 0);
+}
+
+TEST_F(TimeTileTest, AutotunerReplacesRecordsAtomically) {
+  MachineConfig Config = MachineConfig::withNodeGrid(2, 2);
+  CompiledStencil Compiled =
+      compileSpec(Config, makePattern(PatternId::Cross5));
+  std::unique_ptr<ExecutionBackend> B = createBackend("cm2", Config);
+  ASSERT_NE(B, nullptr);
+  ScratchDir Dir("atomic");
+  const uint64_t Fp = 0x00a70a1cfeed0001ull;
+  Autotuner::Options AO;
+  AO.Dir = Dir.Path;
+  const std::string Path = Autotuner::recordPath(Dir.Path, Fp);
+
+  Autotuner Tuner(Config, AO);
+  Tuner.tune(Fp, *B, Compiled, 16, 16);
+  struct stat Before;
+  ASSERT_EQ(::stat(Path.c_str(), &Before), 0);
+
+  // A re-store installs a new file by rename; rewriting in place would
+  // keep the inode and let a concurrent reader see a torn record.
+  Tuner.tune(Fp, *B, Compiled, 16, 16);
+  struct stat After;
+  ASSERT_EQ(::stat(Path.c_str(), &After), 0);
+  EXPECT_NE(After.st_ino, Before.st_ino);
+  EXPECT_NE(readFile(Path).find("cmcc-tune v2"), std::string::npos);
+
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+    EXPECT_EQ(E.path().filename().string().find(".tmp"), std::string::npos)
+        << E.path();
 }
 
 TEST_F(TimeTileTest, ServiceAutotunesOncePerFingerprint) {
