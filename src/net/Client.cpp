@@ -20,19 +20,10 @@ using namespace cmcc::net;
 
 namespace {
 
-/// write(2) until every byte is out (handles partial writes + EINTR).
-Error writeFull(int Fd, const uint8_t *Data, size_t Len) {
-  size_t Done = 0;
-  while (Done < Len) {
-    const ssize_t N = ::send(Fd, Data + Done, Len - Done, MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return Error::failure(std::string("socket write: ") + std::strerror(errno));
-    }
-    Done += static_cast<size_t>(N);
-  }
-  return Error::success();
+/// Decodes a response's payload at the version its frame header names.
+template <typename DecodeFn>
+auto decodeReply(const Client::RawResponse &R, DecodeFn Decode) {
+  return Decode(R.Payload.data(), R.Payload.size(), R.Header.Version);
 }
 
 /// read(2) until exactly \p Len bytes arrived; EOF mid-message fails.
@@ -102,9 +93,9 @@ Client::~Client() {
 
 Error Client::sendRequest(MsgType Type, uint64_t RequestId,
                           const std::vector<uint8_t> &Payload) {
-  const std::vector<uint8_t> Frame =
-      buildFrame(Type, RequestId, Tenant, Payload);
-  return writeFull(Fd, Frame.data(), Frame.size());
+  if (Error E = writeFrame(Fd, Type, RequestId, Tenant, Payload))
+    return Error::failure("socket write: " + E.message());
+  return Error::success();
 }
 
 Expected<Client::RawResponse> Client::receive() {
@@ -138,8 +129,7 @@ Client::roundTrip(MsgType Type, uint64_t RequestId,
     if (R->Header.RequestId != RequestId)
       continue;
     if (R->Header.Type == MsgType::ErrorResponse) {
-      Expected<ErrorResponse> E =
-          decodeErrorResponse(R->Payload.data(), R->Payload.size());
+      Expected<ErrorResponse> E = decodeReply(*R, decodeErrorResponse);
       return Error::failure(E ? "server error: " + E->Message
                      : "server error (undecodable ErrorResponse)");
     }
@@ -157,7 +147,7 @@ Expected<HelloResponse> Client::hello(const std::string &ClientName) {
                                       encode(M), MsgType::HelloResponse);
   if (!R)
     return R.error();
-  return decodeHelloResponse(R->Payload.data(), R->Payload.size());
+  return decodeReply(*R, decodeHelloResponse);
 }
 
 Expected<SubmitResponse> Client::submit(const SubmitRequest &Req) {
@@ -165,7 +155,7 @@ Expected<SubmitResponse> Client::submit(const SubmitRequest &Req) {
                                       encode(Req), MsgType::SubmitResponse);
   if (!R)
     return R.error();
-  return decodeSubmitResponse(R->Payload.data(), R->Payload.size());
+  return decodeReply(*R, decodeSubmitResponse);
 }
 
 Expected<PollResponse> Client::poll(int64_t JobId) {
@@ -175,7 +165,7 @@ Expected<PollResponse> Client::poll(int64_t JobId) {
                                       encode(M), MsgType::PollResponse);
   if (!R)
     return R.error();
-  return decodePollResponse(R->Payload.data(), R->Payload.size());
+  return decodeReply(*R, decodePollResponse);
 }
 
 Expected<WaitResponse> Client::wait(int64_t JobId) {
@@ -185,7 +175,7 @@ Expected<WaitResponse> Client::wait(int64_t JobId) {
                                       encode(M), MsgType::WaitResponse);
   if (!R)
     return R.error();
-  return decodeWaitResponse(R->Payload.data(), R->Payload.size());
+  return decodeReply(*R, decodeWaitResponse);
 }
 
 Expected<CancelResponse> Client::cancel(int64_t JobId) {
@@ -195,7 +185,7 @@ Expected<CancelResponse> Client::cancel(int64_t JobId) {
                                       encode(M), MsgType::CancelResponse);
   if (!R)
     return R.error();
-  return decodeCancelResponse(R->Payload.data(), R->Payload.size());
+  return decodeReply(*R, decodeCancelResponse);
 }
 
 Expected<StatsResponse> Client::stats() {
@@ -204,7 +194,7 @@ Expected<StatsResponse> Client::stats() {
                 MsgType::StatsResponse);
   if (!R)
     return R.error();
-  return decodeStatsResponse(R->Payload.data(), R->Payload.size());
+  return decodeReply(*R, decodeStatsResponse);
 }
 
 Expected<TimelineResponse> Client::timeline(int64_t JobId) {
@@ -215,7 +205,7 @@ Expected<TimelineResponse> Client::timeline(int64_t JobId) {
                                       MsgType::TimelineResponse);
   if (!R)
     return R.error();
-  return decodeTimelineResponse(R->Payload.data(), R->Payload.size());
+  return decodeReply(*R, decodeTimelineResponse);
 }
 
 Expected<DumpResponse> Client::dump() {
@@ -224,5 +214,5 @@ Expected<DumpResponse> Client::dump() {
                 MsgType::DumpResponse);
   if (!R)
     return R.error();
-  return decodeDumpResponse(R->Payload.data(), R->Payload.size());
+  return decodeReply(*R, decodeDumpResponse);
 }

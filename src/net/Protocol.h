@@ -32,8 +32,8 @@
 namespace cmcc {
 namespace net {
 
-/// One named global array on the wire (raw f32 data + FNV-1a64
-/// checksum, via ByteWriter::floats).
+/// One named global array on the wire (raw f32 data + checksum, via
+/// ByteWriter::floats).
 struct GridPayload {
   std::string Name;
   uint32_t Rows = 0;
@@ -41,6 +41,7 @@ struct GridPayload {
   std::vector<float> Data; ///< Row-major, Rows*Cols elements.
 };
 
+/// The grid codec, at the writer's or reader's version.
 void encodeGrid(ByteWriter &W, const GridPayload &G);
 bool decodeGrid(ByteReader &R, GridPayload &G);
 
@@ -205,47 +206,99 @@ constexpr uint16_t ErrDraining = 2;
 constexpr uint16_t ErrInternal = 3;
 
 //===--- Codecs -----------------------------------------------------------===//
-// encode() returns the frame *payload* (pair with buildFrame); each
-// decode accepts raw payload bytes and fails cleanly on anything
-// malformed, truncated, or trailing-garbage.
+// encode() returns the frame *payload* at \p Version (the version its
+// frame header will carry); each decode accepts raw payload bytes of the
+// version its frame header named and fails cleanly on anything
+// malformed, truncated, or trailing-garbage. Version 1 payloads leave
+// out the version-2 tails (SubmitRequest's trace context,
+// StatsResponse's net metrics); decoders accept them with or without.
 
-std::vector<uint8_t> encode(const HelloRequest &M);
-std::vector<uint8_t> encode(const HelloResponse &M);
-std::vector<uint8_t> encode(const SubmitRequest &M);
-std::vector<uint8_t> encode(const SubmitResponse &M);
-std::vector<uint8_t> encode(const PollRequest &M);
-std::vector<uint8_t> encode(const PollResponse &M);
-std::vector<uint8_t> encode(const WaitRequest &M);
-std::vector<uint8_t> encode(const WaitResponse &M);
-std::vector<uint8_t> encode(const CancelRequest &M);
-std::vector<uint8_t> encode(const CancelResponse &M);
-std::vector<uint8_t> encode(const StatsRequest &M);
-std::vector<uint8_t> encode(const StatsResponse &M);
-std::vector<uint8_t> encode(const ErrorResponse &M);
-std::vector<uint8_t> encode(const TimelineRequest &M);
-std::vector<uint8_t> encode(const TimelineResponse &M);
-std::vector<uint8_t> encode(const DumpRequest &M);
-std::vector<uint8_t> encode(const DumpResponse &M);
+std::vector<uint8_t> encode(const HelloRequest &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const HelloResponse &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const SubmitRequest &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const SubmitResponse &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const PollRequest &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const PollResponse &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const WaitRequest &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const WaitResponse &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const CancelRequest &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const CancelResponse &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const StatsRequest &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const StatsResponse &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const ErrorResponse &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const TimelineRequest &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const TimelineResponse &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const DumpRequest &M,
+                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const DumpResponse &M,
+                            uint16_t Version = ProtocolVersion);
 
-Expected<HelloRequest> decodeHelloRequest(const uint8_t *Data, size_t Len);
-Expected<HelloResponse> decodeHelloResponse(const uint8_t *Data, size_t Len);
-Expected<SubmitRequest> decodeSubmitRequest(const uint8_t *Data, size_t Len);
-Expected<SubmitResponse> decodeSubmitResponse(const uint8_t *Data, size_t Len);
-Expected<PollRequest> decodePollRequest(const uint8_t *Data, size_t Len);
-Expected<PollResponse> decodePollResponse(const uint8_t *Data, size_t Len);
-Expected<WaitRequest> decodeWaitRequest(const uint8_t *Data, size_t Len);
-Expected<WaitResponse> decodeWaitResponse(const uint8_t *Data, size_t Len);
-Expected<CancelRequest> decodeCancelRequest(const uint8_t *Data, size_t Len);
-Expected<CancelResponse> decodeCancelResponse(const uint8_t *Data, size_t Len);
-Expected<StatsRequest> decodeStatsRequest(const uint8_t *Data, size_t Len);
-Expected<StatsResponse> decodeStatsResponse(const uint8_t *Data, size_t Len);
-Expected<ErrorResponse> decodeErrorResponse(const uint8_t *Data, size_t Len);
-Expected<TimelineRequest> decodeTimelineRequest(const uint8_t *Data,
-                                                size_t Len);
-Expected<TimelineResponse> decodeTimelineResponse(const uint8_t *Data,
-                                                  size_t Len);
-Expected<DumpRequest> decodeDumpRequest(const uint8_t *Data, size_t Len);
-Expected<DumpResponse> decodeDumpResponse(const uint8_t *Data, size_t Len);
+Expected<HelloRequest>
+decodeHelloRequest(const uint8_t *Data, size_t Len,
+                   uint16_t Version = ProtocolVersion);
+Expected<HelloResponse>
+decodeHelloResponse(const uint8_t *Data, size_t Len,
+                    uint16_t Version = ProtocolVersion);
+Expected<SubmitRequest>
+decodeSubmitRequest(const uint8_t *Data, size_t Len,
+                    uint16_t Version = ProtocolVersion);
+Expected<SubmitResponse>
+decodeSubmitResponse(const uint8_t *Data, size_t Len,
+                     uint16_t Version = ProtocolVersion);
+Expected<PollRequest>
+decodePollRequest(const uint8_t *Data, size_t Len,
+                  uint16_t Version = ProtocolVersion);
+Expected<PollResponse>
+decodePollResponse(const uint8_t *Data, size_t Len,
+                   uint16_t Version = ProtocolVersion);
+Expected<WaitRequest>
+decodeWaitRequest(const uint8_t *Data, size_t Len,
+                  uint16_t Version = ProtocolVersion);
+Expected<WaitResponse>
+decodeWaitResponse(const uint8_t *Data, size_t Len,
+                   uint16_t Version = ProtocolVersion);
+Expected<CancelRequest>
+decodeCancelRequest(const uint8_t *Data, size_t Len,
+                    uint16_t Version = ProtocolVersion);
+Expected<CancelResponse>
+decodeCancelResponse(const uint8_t *Data, size_t Len,
+                     uint16_t Version = ProtocolVersion);
+Expected<StatsRequest>
+decodeStatsRequest(const uint8_t *Data, size_t Len,
+                   uint16_t Version = ProtocolVersion);
+Expected<StatsResponse>
+decodeStatsResponse(const uint8_t *Data, size_t Len,
+                    uint16_t Version = ProtocolVersion);
+Expected<ErrorResponse>
+decodeErrorResponse(const uint8_t *Data, size_t Len,
+                    uint16_t Version = ProtocolVersion);
+Expected<TimelineRequest>
+decodeTimelineRequest(const uint8_t *Data, size_t Len,
+                      uint16_t Version = ProtocolVersion);
+Expected<TimelineResponse>
+decodeTimelineResponse(const uint8_t *Data, size_t Len,
+                       uint16_t Version = ProtocolVersion);
+Expected<DumpRequest>
+decodeDumpRequest(const uint8_t *Data, size_t Len,
+                  uint16_t Version = ProtocolVersion);
+Expected<DumpResponse>
+decodeDumpResponse(const uint8_t *Data, size_t Len,
+                   uint16_t Version = ProtocolVersion);
 
 } // namespace net
 } // namespace cmcc

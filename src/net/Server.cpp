@@ -12,6 +12,7 @@
 #include "obs/TraceContext.h"
 #include "support/FaultInjection.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstdlib>
@@ -461,12 +462,17 @@ bool Server::readConn(Conn &C) {
     ++Stats.DroppedFault;
     return false;
   }
-  char Buf[64 * 1024];
+  // Read straight into the buffer's tail: at least 64 KiB a call, or all
+  // the room the buffer already has, which a connection sending large
+  // frames grows to a frame's size.
   while (true) {
-    const ssize_t N = ::read(C.Fd, Buf, sizeof(Buf));
+    const size_t Have = C.In.size();
+    const size_t Room = std::max<size_t>(64 * 1024, C.In.capacity() - Have);
+    C.In.resize(Have + Room);
+    const ssize_t N = ::read(C.Fd, C.In.data() + Have, Room);
+    C.In.resize(Have + static_cast<size_t>(std::max<ssize_t>(N, 0)));
     if (N > 0) {
-      C.In.insert(C.In.end(), Buf, Buf + N);
-      if (N < static_cast<ssize_t>(sizeof(Buf)))
+      if (static_cast<size_t>(N) < Room)
         return true;
       continue;
     }
@@ -482,13 +488,14 @@ bool Server::writeConn(Conn &C) {
     return false;
   }
   while (!C.Out.empty()) {
-    const std::vector<uint8_t> &Front = C.Out.front();
-    const ssize_t N = ::send(C.Fd, Front.data() + C.OutPos,
-                             Front.size() - C.OutPos, MSG_NOSIGNAL);
+    const OutFrame &Front = C.Out.front();
+    const ssize_t N =
+        sendFrameBytes(C.Fd, Front.Header.data(), Front.Payload.data(),
+                       Front.Payload.size(), C.OutPos);
     if (N < 0)
       return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
     C.OutPos += static_cast<size_t>(N);
-    if (C.OutPos == Front.size()) {
+    if (C.OutPos == FrameHeaderBytes + Front.Payload.size()) {
       C.Out.pop_front();
       C.OutPos = 0;
     }
@@ -523,12 +530,15 @@ bool Server::parseFrames(Conn &C) {
         decodeFrameHeader(C.In.data() + Pos, C.In.size() - Pos);
     if (!H) {
       // Broken framing: there is no way to find the next frame
-      // boundary, so answer once and close.
+      // boundary, so answer once and close. The frame's version cannot
+      // be trusted, so the answer goes out in the oldest one, which
+      // every supported peer reads.
       ++Stats.ProtocolErrors;
       ErrorResponse E;
       E.Code = ErrBadRequest;
       E.Message = H.error().message();
-      send(C, MsgType::ErrorResponse, 0, 0, encode(E));
+      send(C, MsgType::ErrorResponse, 0, 0, MinProtocolVersion,
+           encode(E, MinProtocolVersion));
       C.Closing = true;
       break;
     }
@@ -548,10 +558,17 @@ bool Server::parseFrames(Conn &C) {
 }
 
 void Server::send(Conn &C, MsgType Type, uint64_t RequestId, uint32_t Tenant,
-                  const std::vector<uint8_t> &Payload) {
-  C.Out.push_back(buildFrame(Type, RequestId, Tenant, Payload));
-  frameBytesOut().observe(static_cast<double>(C.Out.back().size()));
+                  uint16_t Version, std::vector<uint8_t> Payload) {
+  const uint32_t Bytes = static_cast<uint32_t>(Payload.size());
+  C.Out.push_back({frameHeader(Type, RequestId, Tenant, Bytes, Version),
+                   std::move(Payload)});
+  frameBytesOut().observe(static_cast<double>(FrameHeaderBytes + Bytes));
   ++Stats.FramesOut;
+}
+
+template <typename Msg>
+void Server::reply(Conn &C, const FrameHeader &H, MsgType Type, const Msg &M) {
+  send(C, Type, H.RequestId, H.Tenant, H.Version, encode(M, H.Version));
 }
 
 void Server::sendError(Conn &C, const FrameHeader &H, uint16_t Code,
@@ -564,7 +581,7 @@ void Server::sendError(Conn &C, const FrameHeader &H, uint16_t Code,
     FR::process().record(FR::EventKind::DecodeError, "bad_request",
                          static_cast<uint64_t>(H.Type), H.RequestId);
   }
-  send(C, MsgType::ErrorResponse, H.RequestId, H.Tenant, encode(E));
+  reply(C, H, MsgType::ErrorResponse, E);
 }
 
 void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
@@ -582,45 +599,49 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
     }
   } Timer{reqHistogram(H.Type), obs::detail::nowNs(),
           H.Type != MsgType::WaitRequest};
+  // Every request decodes at its own frame's version.
+  auto Decode = [&](auto DecodeFn) {
+    return DecodeFn(Payload, H.PayloadBytes, H.Version);
+  };
   switch (H.Type) {
   case MsgType::HelloRequest: {
-    Expected<HelloRequest> M = decodeHelloRequest(Payload, H.PayloadBytes);
+    Expected<HelloRequest> M = Decode(decodeHelloRequest);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     HelloResponse R;
     R.Banner = Opts.Banner;
     R.Machine = Service.machine().summary();
-    send(C, MsgType::HelloResponse, H.RequestId, H.Tenant, encode(R));
+    reply(C, H, MsgType::HelloResponse, R);
     return;
   }
   case MsgType::SubmitRequest:
     return handleSubmit(C, H, Payload);
   case MsgType::PollRequest: {
-    Expected<PollRequest> M = decodePollRequest(Payload, H.PayloadBytes);
+    Expected<PollRequest> M = Decode(decodePollRequest);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     PollResponse R;
     R.State = static_cast<uint8_t>(Service.poll(M->JobId));
-    send(C, MsgType::PollResponse, H.RequestId, H.Tenant, encode(R));
+    reply(C, H, MsgType::PollResponse, R);
     return;
   }
   case MsgType::WaitRequest: {
-    Expected<WaitRequest> M = decodeWaitRequest(Payload, H.PayloadBytes);
+    Expected<WaitRequest> M = Decode(decodeWaitRequest);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     return handleWait(C, H, *M);
   }
   case MsgType::CancelRequest: {
-    Expected<CancelRequest> M = decodeCancelRequest(Payload, H.PayloadBytes);
+    Expected<CancelRequest> M = Decode(decodeCancelRequest);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     CancelResponse R;
     R.Cancelled = Service.cancel(M->JobId) ? 1 : 0;
-    send(C, MsgType::CancelResponse, H.RequestId, H.Tenant, encode(R));
+    reply(C, H, MsgType::CancelResponse, R);
     return;
   }
   case MsgType::StatsRequest: {
-    Expected<StatsRequest> M = decodeStatsRequest(Payload, H.PayloadBytes);
+    Expected<StatsRequest> M = Decode(decodeStatsRequest);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     const ServiceStats S = Service.stats();
@@ -629,27 +650,26 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
     R.Table = S.str();
     R.NetJson = obs::Registry::process().json("net.");
     R.NetTable = obs::Registry::process().table("net.");
-    send(C, MsgType::StatsResponse, H.RequestId, H.Tenant, encode(R));
+    reply(C, H, MsgType::StatsResponse, R);
     return;
   }
   case MsgType::TimelineRequest: {
-    Expected<TimelineRequest> M =
-        decodeTimelineRequest(Payload, H.PayloadBytes);
+    Expected<TimelineRequest> M = Decode(decodeTimelineRequest);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     TimelineResponse R;
     R.Json = Service.timelineJson(M->JobId);
     R.Found = R.Json.empty() ? 0 : 1;
-    send(C, MsgType::TimelineResponse, H.RequestId, H.Tenant, encode(R));
+    reply(C, H, MsgType::TimelineResponse, R);
     return;
   }
   case MsgType::DumpRequest: {
-    Expected<DumpRequest> M = decodeDumpRequest(Payload, H.PayloadBytes);
+    Expected<DumpRequest> M = Decode(decodeDumpRequest);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     DumpResponse R;
     R.Json = obs::FlightRecorder::process().json();
-    send(C, MsgType::DumpResponse, H.RequestId, H.Tenant, encode(R));
+    reply(C, H, MsgType::DumpResponse, R);
     return;
   }
   default:
@@ -666,11 +686,13 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
 
 void Server::handleSubmit(Conn &C, const FrameHeader &H,
                           const uint8_t *Payload) {
-  Expected<SubmitRequest> M = decodeSubmitRequest(Payload, H.PayloadBytes);
+  Expected<SubmitRequest> M =
+      decodeSubmitRequest(Payload, H.PayloadBytes, H.Version);
   if (!M)
     return sendError(C, H, ErrBadRequest, M.error().message());
   if (Draining.load(std::memory_order_acquire))
-    return sendError(C, H, ErrDraining, "server is draining; resubmit elsewhere");
+    return sendError(C, H, ErrDraining,
+                     "server is draining; resubmit elsewhere");
 
   // Adopt the client-minted trace context for the dispatch itself, so
   // the server's submit span nests under the client's in a merged
@@ -724,13 +746,10 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
                              ") does not decompose over the " +
                              std::to_string(Grid.rows()) + "x" +
                              std::to_string(Grid.cols()) + " node grid");
-      Array2D Global(static_cast<int>(G.Rows), static_cast<int>(G.Cols));
-      std::memcpy(Global.data(), G.Data.data(),
-                  G.Data.size() * sizeof(float));
       auto A = std::make_unique<DistributedArray>(
           Grid, static_cast<int>(G.Rows) / Grid.rows(),
           static_cast<int>(G.Cols) / Grid.cols());
-      A->scatter(Global);
+      A->scatter(G.Data.data()); // decodeGrid checked Rows * Cols floats.
       switch (B.Kind) {
       case SubmitRequest::Role::Source:
         if (J.Args->Source)
@@ -766,7 +785,7 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
 
   SubmitResponse R;
   R.JobId = Id;
-  send(C, MsgType::SubmitResponse, H.RequestId, H.Tenant, encode(R));
+  reply(C, H, MsgType::SubmitResponse, R);
 }
 
 //===----------------------------------------------------------------------===//
@@ -782,13 +801,13 @@ void Server::handleWait(Conn &C, const FrameHeader &H, const WaitRequest &M) {
     R.Ok = 0;
     R.Status = static_cast<uint8_t>(StencilService::JobStatus::BadJobId);
     R.Message = "wait on unknown job id " + std::to_string(M.JobId);
-    send(C, MsgType::WaitResponse, H.RequestId, H.Tenant, encode(R));
+    reply(C, H, MsgType::WaitResponse, R);
     return;
   }
   JobRec &J = It->second;
   if (J.Finished) {
     J.WaiterArrivedNs = obs::detail::nowNs();
-    deliverResult(C, J, H.RequestId);
+    deliverResult(C, J, H.RequestId, H.Version);
     Jobs.erase(It);
     return;
   }
@@ -799,10 +818,12 @@ void Server::handleWait(Conn &C, const FrameHeader &H, const WaitRequest &M) {
   J.HasWaiter = true;
   J.WaiterConn = C.Id;
   J.WaiterRequestId = H.RequestId;
+  J.WaiterVersion = H.Version;
   J.WaiterArrivedNs = obs::detail::nowNs();
 }
 
-void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId) {
+void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId,
+                           uint16_t Version) {
   // The job is finished, so this wait() returns without blocking.
   StencilService::JobResult Res = Service.wait(J.Id);
   WaitResponse R;
@@ -818,16 +839,16 @@ void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId) {
   R.FellBack = Res.FellBack ? 1 : 0;
   R.setReport(Res.Report);
   if (Res.Ok && J.WantResult && J.Args && J.Args->Result) {
-    const Array2D Global = J.Args->Result->gather();
+    const DistributedArray &Out = *J.Args->Result;
     R.HasResult = 1;
     R.Result.Name = J.ResultName;
-    R.Result.Rows = static_cast<uint32_t>(Global.rows());
-    R.Result.Cols = static_cast<uint32_t>(Global.cols());
-    R.Result.Data.assign(Global.data(),
-                         Global.data() + static_cast<size_t>(Global.rows()) *
-                                             Global.cols());
+    R.Result.Rows = static_cast<uint32_t>(Out.globalRows());
+    R.Result.Cols = static_cast<uint32_t>(Out.globalCols());
+    R.Result.Data.resize(static_cast<size_t>(R.Result.Rows) * R.Result.Cols);
+    Out.gather(R.Result.Data.data());
   }
-  send(C, MsgType::WaitResponse, RequestId, J.Tenant, encode(R));
+  send(C, MsgType::WaitResponse, RequestId, J.Tenant, Version,
+       encode(R, Version));
   if (J.WaiterArrivedNs)
     reqHistogram(MsgType::WaitRequest)
         .observe(static_cast<double>(obs::detail::nowNs() -
@@ -858,7 +879,7 @@ void Server::processFinished() {
       continue;
     }
     const uint64_t WaiterConn = J.WaiterConn;
-    deliverResult(CIt->second, J, J.WaiterRequestId);
+    deliverResult(CIt->second, J, J.WaiterRequestId, J.WaiterVersion);
     Jobs.erase(It);
     if (!writeConn(CIt->second))
       closeConn(WaiterConn);

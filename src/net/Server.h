@@ -43,14 +43,17 @@
 
 #include "net/Protocol.h"
 #include "service/StencilService.h"
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace cmcc {
@@ -140,13 +143,18 @@ private:
   void dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload);
   void handleSubmit(Conn &C, const FrameHeader &H, const uint8_t *Payload);
   void handleWait(Conn &C, const FrameHeader &H, const WaitRequest &M);
-  /// Queues one encoded response frame on \p C.
+  /// Queues one response frame at \p Version on \p C.
   void send(Conn &C, MsgType Type, uint64_t RequestId, uint32_t Tenant,
-            const std::vector<uint8_t> &Payload);
+            uint16_t Version, std::vector<uint8_t> Payload);
+  /// Answers the request \p H with \p M, in \p H's protocol version.
+  template <typename Msg>
+  void reply(Conn &C, const FrameHeader &H, MsgType Type, const Msg &M);
   void sendError(Conn &C, const FrameHeader &H, uint16_t Code,
                  const std::string &Message);
-  /// Builds the WaitResponse for a finished job and queues it.
-  void deliverResult(Conn &C, JobRec &J, uint64_t RequestId);
+  /// Builds the WaitResponse for a finished job and queues it, encoded
+  /// at the waiter's \p Version.
+  void deliverResult(Conn &C, JobRec &J, uint64_t RequestId,
+                     uint16_t Version);
   /// Drains the finished-job queue fed by the service callback.
   void processFinished();
   void closeConn(uint64_t ConnId);
@@ -157,14 +165,36 @@ private:
   Options Opts;
 
   //===--- Loop-owned state (no locks: only the loop thread touches it) ---===//
+  /// An allocator that leaves new bytes uninitialised, so the read
+  /// buffer grows for a read(2) without first zeroing what it overwrites.
+  template <typename T> struct NoInitAllocator : std::allocator<T> {
+    template <typename U> struct rebind {
+      using other = NoInitAllocator<U>;
+    };
+    NoInitAllocator() = default;
+    template <typename U> NoInitAllocator(const NoInitAllocator<U> &) {}
+    template <typename U> void construct(U *P) { ::new (P) U; }
+    template <typename U, typename... Args>
+    void construct(U *P, Args &&...A) {
+      ::new (P) U(std::forward<Args>(A)...);
+    }
+  };
+
+  /// A queued response: its header and the payload it announces, written
+  /// side by side with sendFrameBytes(), never copied into one buffer.
+  struct OutFrame {
+    std::array<uint8_t, FrameHeaderBytes> Header;
+    std::vector<uint8_t> Payload;
+  };
+
   /// One live connection. Identified by a monotonically increasing id,
   /// never by fd (fds are recycled by the kernel; ids are not).
   struct Conn {
     uint64_t Id = 0;
     int Fd = -1;
-    std::vector<uint8_t> In;
-    std::deque<std::vector<uint8_t>> Out;
-    size_t OutPos = 0; ///< Bytes of Out.front() already written.
+    std::vector<uint8_t, NoInitAllocator<uint8_t>> In;
+    std::deque<OutFrame> Out;
+    size_t OutPos = 0; ///< Bytes of Out.front() (header first) written.
     bool Closing = false; ///< Close once Out flushes.
   };
 
@@ -182,6 +212,7 @@ private:
     bool HasWaiter = false;
     uint64_t WaiterConn = 0;
     uint64_t WaiterRequestId = 0;
+    uint16_t WaiterVersion = ProtocolVersion; ///< The reply's version.
     /// When the (current) WaitRequest arrived; deliverResult observes
     /// the park-to-delivery latency into net.req_us.wait.
     uint64_t WaiterArrivedNs = 0;

@@ -5,6 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "net/Wire.h"
+#include "support/Crc32c.h"
+
+#include <cerrno>
+#include <sys/socket.h>
+#include <sys/uio.h>
 
 using namespace cmcc;
 using namespace cmcc::net;
@@ -142,10 +147,12 @@ void ByteWriter::floats(const float *Data, size_t Count) {
   u32(static_cast<uint32_t>(Count));
   const size_t Bytes = Count * sizeof(float);
   const size_t At = Buf.size();
-  Buf.resize(At + Bytes);
-  if (Bytes)
-    std::memcpy(Buf.data() + At, Data, Bytes);
-  u64(fnv1a(Buf.data() + At, Bytes));
+  const uint8_t *Raw = reinterpret_cast<const uint8_t *>(Data);
+  Buf.insert(Buf.end(), Raw, Raw + Bytes);
+  if (floatsUseCrc32c(Version))
+    u32(crc32c(Buf.data() + At, Bytes));
+  else
+    u64(fnv1a(Buf.data() + At, Bytes));
 }
 
 bool ByteReader::str(std::string &S, size_t MaxLen) {
@@ -165,40 +172,84 @@ bool ByteReader::floats(std::vector<float> &V, size_t MaxCount) {
   uint32_t N;
   if (!u32(N))
     return false;
+  const bool Crc = floatsUseCrc32c(Version);
   const size_t Bytes = static_cast<size_t>(N) * sizeof(float);
   // Validate the count against bytes actually present (plus the trailing
   // checksum) before the allocation.
-  if (N > MaxCount || remaining() < Bytes + sizeof(uint64_t)) {
+  if (N > MaxCount ||
+      remaining() < Bytes + (Crc ? sizeof(uint32_t) : sizeof(uint64_t))) {
     Failed = true;
     return false;
   }
-  const uint64_t Want = fnv1a(Data + Pos, Bytes);
+  const uint8_t *Block = Data + Pos;
+  Pos += Bytes;
+  bool Match;
+  if (Crc) {
+    uint32_t Got;
+    Match = u32(Got) && Got == crc32c(Block, Bytes);
+  } else {
+    uint64_t Got;
+    Match = u64(Got) && Got == fnv1a(Block, Bytes);
+  }
+  if (!Match) {
+    Failed = true;
+    return false;
+  }
   V.resize(N);
   if (Bytes)
-    std::memcpy(V.data(), Data + Pos, Bytes);
-  Pos += Bytes;
-  uint64_t Got;
-  if (!u64(Got))
-    return false;
-  if (Got != Want) {
-    Failed = true;
-    return false;
-  }
+    std::memcpy(V.data(), Block, Bytes);
   return true;
 }
 
-std::vector<uint8_t> net::buildFrame(MsgType Type, uint64_t RequestId,
-                                     uint32_t Tenant,
-                                     const std::vector<uint8_t> &Payload) {
+std::array<uint8_t, FrameHeaderBytes>
+net::frameHeader(MsgType Type, uint64_t RequestId, uint32_t Tenant,
+                 uint32_t PayloadBytes, uint16_t Version) {
   FrameHeader H;
+  H.Version = Version;
   H.Type = Type;
   H.Tenant = Tenant;
   H.RequestId = RequestId;
-  H.PayloadBytes = static_cast<uint32_t>(Payload.size());
-  std::vector<uint8_t> Frame(FrameHeaderBytes + Payload.size());
-  encodeFrameHeader(H, Frame.data());
-  if (!Payload.empty())
-    std::memcpy(Frame.data() + FrameHeaderBytes, Payload.data(),
-                Payload.size());
-  return Frame;
+  H.PayloadBytes = PayloadBytes;
+  std::array<uint8_t, FrameHeaderBytes> Out;
+  encodeFrameHeader(H, Out.data());
+  return Out;
+}
+
+ssize_t net::sendFrameBytes(int Fd, const uint8_t *Header,
+                            const uint8_t *Payload, size_t PayloadBytes,
+                            size_t Sent) {
+  iovec Iov[2];
+  int Count = 0;
+  if (Sent < FrameHeaderBytes)
+    Iov[Count++] = {const_cast<uint8_t *>(Header) + Sent,
+                    FrameHeaderBytes - Sent};
+  const size_t PayloadSent =
+      Sent > FrameHeaderBytes ? Sent - FrameHeaderBytes : 0;
+  if (PayloadSent < PayloadBytes)
+    Iov[Count++] = {const_cast<uint8_t *>(Payload) + PayloadSent,
+                    PayloadBytes - PayloadSent};
+  msghdr Msg{};
+  Msg.msg_iov = Iov;
+  Msg.msg_iovlen = static_cast<size_t>(Count);
+  return ::sendmsg(Fd, &Msg, MSG_NOSIGNAL);
+}
+
+Error net::writeFrame(int Fd, MsgType Type, uint64_t RequestId,
+                      uint32_t Tenant, const std::vector<uint8_t> &Payload,
+                      uint16_t Version) {
+  const auto Header = frameHeader(
+      Type, RequestId, Tenant, static_cast<uint32_t>(Payload.size()), Version);
+  const size_t Total = FrameHeaderBytes + Payload.size();
+  size_t Sent = 0;
+  while (Sent != Total) {
+    const ssize_t N =
+        sendFrameBytes(Fd, Header.data(), Payload.data(), Payload.size(), Sent);
+    if (N < 0) {
+      if (errno == EINTR)
+        continue;
+      return Error::failure(std::strerror(errno));
+    }
+    Sent += static_cast<size_t>(N);
+  }
+  return Error::success();
 }

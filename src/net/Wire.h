@@ -18,7 +18,7 @@
 ///
 ///   offset  size  field
 ///        0     4  magic      0x434D4331 ("CMC1" on a little-endian wire)
-///        4     2  version    protocol version (currently 2; 1 accepted)
+///        4     2  version    protocol version (currently 3; 1 and 2 accepted)
 ///        6     2  type       MsgType
 ///        8     4  tenant     tenant id (0 = anonymous default tenant)
 ///       12     8  request id caller-chosen correlation id, echoed back
@@ -27,8 +27,11 @@
 ///
 /// The checksum is verified before the length field is trusted, so a
 /// corrupt header cannot command a giant read. Float arrays travel as
-/// raw IEEE-754 bit patterns guarded by an FNV-1a64 payload checksum —
+/// raw IEEE-754 bit patterns followed by a checksum of those bytes —
 /// results that cross the wire are bitwise what the backend produced.
+/// The frame's version picks that checksum: a u32 CRC32C from version 3
+/// on, a u64 FNV-1a64 at versions 1 and 2. A peer is answered in the
+/// version of the frame it sent.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,9 +39,11 @@
 #define CMCC_NET_WIRE_H
 
 #include "support/Error.h"
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <sys/types.h>
 #include <vector>
 
 namespace cmcc {
@@ -49,10 +54,11 @@ constexpr uint32_t FrameMagic = 0x31434D43u;
 
 /// The protocol version this library speaks. Bumped on any frame or
 /// payload layout change. Version 2 added the submit trace-context
-/// fields and the Timeline/Dump message pairs; every v2 payload change
-/// is append-only, so frames from MinProtocolVersion peers still decode
-/// and both ends reject anything outside [Min, Current] cleanly.
-constexpr uint16_t ProtocolVersion = 2;
+/// fields and the Timeline/Dump message pairs, append-only, so v1
+/// payloads still decode. Version 3 replaced the float-array checksum
+/// (see ByteWriter::floats). Both ends reject anything outside
+/// [Min, Current] cleanly.
+constexpr uint16_t ProtocolVersion = 3;
 constexpr uint16_t MinProtocolVersion = 1;
 
 /// Upper bound on one frame's payload. Large enough for a 2048-node
@@ -105,9 +111,13 @@ enum class MsgType : uint16_t {
 /// True for type values this protocol version defines.
 bool isKnownMsgType(uint16_t Raw);
 
-/// FNV-1a over \p Len bytes (the protocol's only hash: header checksums
-/// truncate it to 32 bits, grid payloads keep all 64).
+/// FNV-1a over \p Len bytes: header checksums truncate it to 32 bits,
+/// and float arrays before version 3 keep all 64.
 uint64_t fnv1a(const void *Data, size_t Len);
+
+/// True when float arrays at \p Version carry a CRC32C, false when they
+/// carry an FNV-1a64.
+constexpr bool floatsUseCrc32c(uint16_t Version) { return Version >= 3; }
 
 /// The decoded fixed header of one frame.
 struct FrameHeader {
@@ -127,10 +137,22 @@ void encodeFrameHeader(const FrameHeader &H, uint8_t *Out);
 /// and the payload bound; the message names which check failed.
 Expected<FrameHeader> decodeFrameHeader(const uint8_t *Data, size_t Len);
 
-/// Little-endian payload builder. Append-only; take() surrenders the
-/// buffer.
+/// Little-endian payload builder for one protocol version. Append-only;
+/// take() surrenders the buffer.
 class ByteWriter {
 public:
+  explicit ByteWriter(uint16_t Version = ProtocolVersion) : Version(Version) {}
+
+  /// Bytes str() appends for \p S.
+  static size_t strBytes(const std::string &S) { return 4 + S.size(); }
+  /// Bytes floats() appends for \p Count floats at this version.
+  size_t floatsBytes(size_t Count) const {
+    return 4 + Count * sizeof(float) + (floatsUseCrc32c(Version) ? 4 : 8);
+  }
+  /// Sizes the buffer for \p Bytes in all, so large appends that follow
+  /// do not reallocate it.
+  void reserve(size_t Bytes) { Buf.reserve(Bytes); }
+
   void u8(uint8_t V) { Buf.push_back(V); }
   void u16(uint16_t V) { appendLe(V); }
   void u32(uint32_t V) { appendLe(V); }
@@ -145,8 +167,8 @@ public:
   /// u32 length followed by the raw bytes.
   void str(const std::string &S);
 
-  /// u32 element count, raw IEEE-754 floats, then an FNV-1a64 checksum
-  /// of those float bytes.
+  /// u32 element count, raw IEEE-754 floats, then a checksum of those
+  /// float bytes: a u32 CRC32C from version 3 on, a u64 FNV-1a64 before.
   void floats(const float *Data, size_t Count);
 
   size_t size() const { return Buf.size(); }
@@ -157,6 +179,7 @@ private:
     for (size_t I = 0; I != sizeof(T); ++I)
       Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
   }
+  uint16_t Version;
   std::vector<uint8_t> Buf;
 };
 
@@ -164,10 +187,13 @@ private:
 /// false (and latches the failure) instead of reading past the end;
 /// decode functions test ok() once at the end. A length field is never
 /// used to size an allocation before the remaining-bytes check proves
-/// the bytes are actually present.
+/// the bytes are actually present. The version selects the float-array
+/// checksum, as in ByteWriter.
 class ByteReader {
 public:
-  ByteReader(const uint8_t *Data, size_t Len) : Data(Data), Len(Len) {}
+  ByteReader(const uint8_t *Data, size_t Len,
+             uint16_t Version = ProtocolVersion)
+      : Data(Data), Len(Len), Version(Version) {}
 
   bool u8(uint8_t &V) { return readLe(V); }
   bool u16(uint16_t &V) { return readLe(V); }
@@ -220,15 +246,28 @@ private:
 
   const uint8_t *Data;
   size_t Len;
+  uint16_t Version;
   size_t Pos = 0;
   bool Failed = false;
 };
 
-/// Builds one complete frame (header + payload) ready to write to a
-/// socket.
-std::vector<uint8_t> buildFrame(MsgType Type, uint64_t RequestId,
-                                uint32_t Tenant,
-                                const std::vector<uint8_t> &Payload);
+/// The encoded header of a frame announcing \p PayloadBytes of payload.
+std::array<uint8_t, FrameHeaderBytes>
+frameHeader(MsgType Type, uint64_t RequestId, uint32_t Tenant,
+            uint32_t PayloadBytes, uint16_t Version = ProtocolVersion);
+
+/// One sendmsg(MSG_NOSIGNAL) of a frame's bytes from offset \p Sent on:
+/// the rest of the header, then the rest of the payload, as two iovecs.
+/// A partial write resumes mid-header or mid-payload on the next call
+/// with the larger offset. Returns sendmsg's result (errno is set on -1).
+ssize_t sendFrameBytes(int Fd, const uint8_t *Header, const uint8_t *Payload,
+                       size_t PayloadBytes, size_t Sent);
+
+/// Writes one whole frame to the blocking socket \p Fd, retrying partial
+/// writes and EINTR. Fails with the strerror text of the failed send.
+Error writeFrame(int Fd, MsgType Type, uint64_t RequestId, uint32_t Tenant,
+                 const std::vector<uint8_t> &Payload,
+                 uint16_t Version = ProtocolVersion);
 
 } // namespace net
 } // namespace cmcc

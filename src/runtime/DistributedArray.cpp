@@ -31,25 +31,35 @@ const Array2D &DistributedArray::subgrid(NodeCoord C) const {
 void DistributedArray::scatter(const Array2D &Global) {
   assert(Global.rows() == globalRows() && Global.cols() == globalCols() &&
          "global shape mismatch");
+  scatter(Global.data());
+}
+
+void DistributedArray::scatter(const float *Global) {
+  const size_t Stride = static_cast<size_t>(globalCols());
   for (int NR = 0; NR != Grid.rows(); ++NR)
     for (int NC = 0; NC != Grid.cols(); ++NC) {
       Array2D &Sub = subgrid({NR, NC});
       for (int R = 0; R != SubRows; ++R)
-        std::copy_n(Global.row(NR * SubRows + R) + NC * SubCols, SubCols,
-                    Sub.row(R));
+        std::copy_n(Global + (NR * SubRows + R) * Stride + NC * SubCols,
+                    SubCols, Sub.row(R));
     }
 }
 
 Array2D DistributedArray::gather() const {
   Array2D Global(globalRows(), globalCols());
+  gather(Global.data());
+  return Global;
+}
+
+void DistributedArray::gather(float *Global) const {
+  const size_t Stride = static_cast<size_t>(globalCols());
   for (int NR = 0; NR != Grid.rows(); ++NR)
     for (int NC = 0; NC != Grid.cols(); ++NC) {
       const Array2D &Sub = subgrid({NR, NC});
       for (int R = 0; R != SubRows; ++R)
         std::copy_n(Sub.row(R), SubCols,
-                    Global.row(NR * SubRows + R) + NC * SubCols);
+                    Global + (NR * SubRows + R) * Stride + NC * SubCols);
     }
-  return Global;
 }
 
 float DistributedArray::atGlobal(int R, int C) const {

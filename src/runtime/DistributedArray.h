@@ -45,9 +45,13 @@ public:
 
   /// Scatters \p Global (must match the global shape).
   void scatter(const Array2D &Global);
+  /// Scatters globalRows() x globalCols() row-major floats at \p Global.
+  void scatter(const float *Global);
 
   /// Gathers the subgrids back into one global array.
   Array2D gather() const;
+  /// Gathers into globalRows() x globalCols() row-major floats at \p Global.
+  void gather(float *Global) const;
 
   /// Global element access (for tests).
   float atGlobal(int R, int C) const;

@@ -14,6 +14,24 @@
 
 using namespace cmcc;
 
+namespace {
+
+/// Copies \p Rows rows of \p Width floats from \p Src to \p Dst (row
+/// pitches in floats), or zero-fills them when \p Src is null. Every
+/// pad band the exchange writes is one such call, with its source (zero
+/// boundary, local neighbor or transport block) chosen once per band.
+void copyBand(float *Dst, size_t DstPitch, const float *Src, size_t SrcPitch,
+              int Rows, int Width) {
+  for (int R = 0; R != Rows; ++R, Dst += DstPitch) {
+    if (Src)
+      std::copy_n(Src + R * SrcPitch, Width, Dst);
+    else
+      std::fill_n(Dst, Width, 0.0f);
+  }
+}
+
+} // namespace
+
 std::vector<Array2D> cmcc::exchangeHalos(const DistributedArray &A,
                                          int Border,
                                          BoundaryKind BoundaryDim1,
@@ -48,6 +66,7 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
   assert(B >= 0 && B <= SR && B <= SC &&
          "border width exceeds the subgrid");
   const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const size_t Pitch = static_cast<size_t>(SC + 2 * B); // Padded row length.
 
   // A split axis moves its block edges through the transport; an axis
   // the domain spans entirely wraps locally (the local torus is the
@@ -107,13 +126,11 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
       for (int LR = 0; LR != Domain.LocalRows; ++LR) {
         const Array2D &WestEdge = A.subgrid({LR, 0});
         const Array2D &EastEdge = A.subgrid({LR, Grid.cols() - 1});
-        for (int R = 0; R != SR; ++R)
-          for (int C = 0; C != B; ++C) {
-            const size_t At =
-                (static_cast<size_t>(LR) * SR + R) * B + C;
-            Out.Low[At] = WestEdge.at(R, C);
-            Out.High[At] = EastEdge.at(R, SC - B + C);
-          }
+        for (int R = 0; R != SR; ++R) {
+          const size_t At = (static_cast<size_t>(LR) * SR + R) * B;
+          std::copy_n(WestEdge.row(R), B, Out.Low.data() + At);
+          std::copy_n(EastEdge.row(R) + SC - B, B, Out.High.data() + At);
+        }
       }
       Expected<HaloBlocks> Got =
           Transport->exchange(SourceIndex, HaloStep::WestEast, Out);
@@ -125,43 +142,33 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
             "halo transport returned a west/east block of the wrong size");
     }
 
+    const bool ZeroWE = BoundaryDim2 == BoundaryKind::Zero;
     ForEachNode([&](int Id) {
       NodeCoord Here = Grid.coordOf(Id);
-      Array2D &P = Padded[Id];
+      float *Core = Padded[Id].row(B);
+      const size_t BlockAt = static_cast<size_t>(Here.Row) * SR * B;
 
       // West pad <- west neighbor's rightmost core columns.
-      bool CrossW = Domain.globalCol(Here.Col) == 0;
-      const Array2D *WestSub =
-          (RemoteWE && Here.Col == 0)
-              ? nullptr
-              : &A.subgrid(Grid.neighbor(Here, Direction::West));
-      for (int R = 0; R != SR; ++R)
-        for (int C = 0; C != B; ++C)
-          P.at(R + B, C) =
-              (CrossW && BoundaryDim2 == BoundaryKind::Zero)
-                  ? 0.0f
-                  : (WestSub
-                         ? WestSub->at(R, SC - B + C)
-                         : In.Low[(static_cast<size_t>(Here.Row) * SR + R) *
-                                      B +
-                                  C]);
+      if (ZeroWE && Domain.globalCol(Here.Col) == 0)
+        copyBand(Core, Pitch, nullptr, 0, SR, B);
+      else if (RemoteWE && Here.Col == 0)
+        copyBand(Core, Pitch, In.Low.data() + BlockAt, B, SR, B);
+      else
+        copyBand(Core, Pitch,
+                 A.subgrid(Grid.neighbor(Here, Direction::West)).row(0) +
+                     SC - B,
+                 SC, SR, B);
 
       // East pad <- east neighbor's leftmost core columns.
-      bool CrossE = Domain.globalCol(Here.Col) == Domain.GlobalCols - 1;
-      const Array2D *EastSub =
-          (RemoteWE && Here.Col == Grid.cols() - 1)
-              ? nullptr
-              : &A.subgrid(Grid.neighbor(Here, Direction::East));
-      for (int R = 0; R != SR; ++R)
-        for (int C = 0; C != B; ++C)
-          P.at(R + B, SC + B + C) =
-              (CrossE && BoundaryDim2 == BoundaryKind::Zero)
-                  ? 0.0f
-                  : (EastSub
-                         ? EastSub->at(R, C)
-                         : In.High[(static_cast<size_t>(Here.Row) * SR + R) *
-                                       B +
-                                   C]);
+      float *EastPad = Core + SC + B;
+      if (ZeroWE && Domain.globalCol(Here.Col) == Domain.GlobalCols - 1)
+        copyBand(EastPad, Pitch, nullptr, 0, SR, B);
+      else if (RemoteWE && Here.Col == Grid.cols() - 1)
+        copyBand(EastPad, Pitch, In.High.data() + BlockAt, B, SR, B);
+      else
+        copyBand(EastPad, Pitch,
+                 A.subgrid(Grid.neighbor(Here, Direction::East)).row(0), SC,
+                 SR, B);
     });
   }
 
@@ -191,13 +198,11 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
       for (int LC = 0; LC != Domain.LocalCols; ++LC) {
         const Array2D &NorthEdge = Padded[Grid.nodeId({0, LC})];
         const Array2D &SouthEdge = Padded[Grid.nodeId({Grid.rows() - 1, LC})];
-        for (int R = 0; R != B; ++R)
-          for (int C = ColBegin; C != ColEnd; ++C) {
-            const size_t At = (static_cast<size_t>(LC) * B + R) * ShipCols +
-                              (C - ColBegin);
-            Out.Low[At] = NorthEdge.at(B + R, C);
-            Out.High[At] = SouthEdge.at(SR + R, C);
-          }
+        const size_t At = static_cast<size_t>(LC) * B * ShipCols;
+        copyBand(Out.Low.data() + At, ShipCols, NorthEdge.row(B) + ColBegin,
+                 Pitch, B, ShipCols);
+        copyBand(Out.High.data() + At, ShipCols, SouthEdge.row(SR) + ColBegin,
+                 Pitch, B, ShipCols);
       }
       Expected<HaloBlocks> Got =
           Transport->exchange(SourceIndex, HaloStep::NorthSouth, Out);
@@ -209,43 +214,39 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
             "halo transport returned a north/south block of the wrong size");
     }
 
+    const bool ZeroNS = BoundaryDim1 == BoundaryKind::Zero;
     ForEachNode([&](int Id) {
       NodeCoord Here = Grid.coordOf(Id);
       Array2D &P = Padded[Id];
+      const size_t BlockAt = static_cast<size_t>(Here.Col) * B * ShipCols;
 
       // North pad <- north neighbor's bottommost core rows (with pads).
-      bool CrossN = Domain.globalRow(Here.Row) == 0;
-      const Array2D *NorthP =
-          (RemoteNS && Here.Row == 0)
-              ? nullptr
-              : &Padded[Grid.nodeId(Grid.neighbor(Here, Direction::North))];
-      for (int R = 0; R != B; ++R)
-        for (int C = ColBegin; C != ColEnd; ++C)
-          P.at(R, C) =
-              (CrossN && BoundaryDim1 == BoundaryKind::Zero)
-                  ? 0.0f
-                  : (NorthP
-                         ? NorthP->at(SR + R, C)
-                         : In.Low[(static_cast<size_t>(Here.Col) * B + R) *
-                                      ShipCols +
-                                  (C - ColBegin)]);
+      float *NorthPad = P.row(0) + ColBegin;
+      if (ZeroNS && Domain.globalRow(Here.Row) == 0)
+        copyBand(NorthPad, Pitch, nullptr, 0, B, ShipCols);
+      else if (RemoteNS && Here.Row == 0)
+        copyBand(NorthPad, Pitch, In.Low.data() + BlockAt, ShipCols, B,
+                 ShipCols);
+      else
+        copyBand(NorthPad, Pitch,
+                 Padded[Grid.nodeId(Grid.neighbor(Here, Direction::North))]
+                         .row(SR) +
+                     ColBegin,
+                 Pitch, B, ShipCols);
 
       // South pad <- south neighbor's topmost core rows (with pads).
-      bool CrossS = Domain.globalRow(Here.Row) == Domain.GlobalRows - 1;
-      const Array2D *SouthP =
-          (RemoteNS && Here.Row == Grid.rows() - 1)
-              ? nullptr
-              : &Padded[Grid.nodeId(Grid.neighbor(Here, Direction::South))];
-      for (int R = 0; R != B; ++R)
-        for (int C = ColBegin; C != ColEnd; ++C)
-          P.at(SR + B + R, C) =
-              (CrossS && BoundaryDim1 == BoundaryKind::Zero)
-                  ? 0.0f
-                  : (SouthP
-                         ? SouthP->at(B + R, C)
-                         : In.High[(static_cast<size_t>(Here.Col) * B + R) *
-                                       ShipCols +
-                                   (C - ColBegin)]);
+      float *SouthPad = P.row(SR + B) + ColBegin;
+      if (ZeroNS && Domain.globalRow(Here.Row) == Domain.GlobalRows - 1)
+        copyBand(SouthPad, Pitch, nullptr, 0, B, ShipCols);
+      else if (RemoteNS && Here.Row == Grid.rows() - 1)
+        copyBand(SouthPad, Pitch, In.High.data() + BlockAt, ShipCols, B,
+                 ShipCols);
+      else
+        copyBand(SouthPad, Pitch,
+                 Padded[Grid.nodeId(Grid.neighbor(Here, Direction::South))]
+                         .row(B) +
+                     ColBegin,
+                 Pitch, B, ShipCols);
     });
   }
   return Padded;

@@ -287,20 +287,8 @@ bool cmcc::shard::decodeRunReply(const std::vector<uint8_t> &Payload,
 
 Error cmcc::shard::sendFrame(int Fd, net::MsgType Type, uint64_t RequestId,
                              const std::vector<uint8_t> &Payload) {
-  std::vector<uint8_t> Bytes =
-      net::buildFrame(Type, RequestId, /*Tenant=*/0, Payload);
-  size_t Done = 0;
-  while (Done != Bytes.size()) {
-    ssize_t N = ::send(Fd, Bytes.data() + Done, Bytes.size() - Done,
-                       MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return Error::transient("shard frame send failed: " +
-                             std::string(std::strerror(errno)));
-    }
-    Done += static_cast<size_t>(N);
-  }
+  if (Error E = net::writeFrame(Fd, Type, RequestId, /*Tenant=*/0, Payload))
+    return Error::transient("shard frame send failed: " + E.message());
   return Error::success();
 }
 

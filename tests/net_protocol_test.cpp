@@ -21,6 +21,8 @@
 #include "net/Wire.h"
 #include "support/Random.h"
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 using namespace cmcc;
 using namespace cmcc::net;
@@ -123,27 +125,71 @@ bool decodes(DecodeFn Decode, const std::vector<uint8_t> &Data) {
 }
 
 /// Every decoder behind one uniform signature, so sweeps can storm all
-/// of them with the same bytes.
-using AnyDecoder = bool (*)(const uint8_t *, size_t);
+/// of them with the same bytes at any protocol version.
+using AnyDecoder = bool (*)(const uint8_t *, size_t, uint16_t);
 const AnyDecoder AllDecoders[] = {
-    [](const uint8_t *D, size_t N) { return !!decodeHelloRequest(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeHelloResponse(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeSubmitRequest(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeSubmitResponse(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodePollRequest(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodePollResponse(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeWaitRequest(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeWaitResponse(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeCancelRequest(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeCancelResponse(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeStatsRequest(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeStatsResponse(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeErrorResponse(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeTimelineRequest(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeTimelineResponse(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeDumpRequest(D, N); },
-    [](const uint8_t *D, size_t N) { return !!decodeDumpResponse(D, N); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeHelloRequest(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeHelloResponse(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeSubmitRequest(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeSubmitResponse(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodePollRequest(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodePollResponse(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeWaitRequest(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeWaitResponse(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeCancelRequest(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeCancelResponse(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeStatsRequest(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeStatsResponse(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeErrorResponse(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeTimelineRequest(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeTimelineResponse(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeDumpRequest(D, N, V); },
+    [](const uint8_t *D, size_t N, uint16_t V) { return !!decodeDumpResponse(D, N, V); },
 };
+
+/// Every protocol version this build speaks, oldest first.
+const uint16_t AllVersions[] = {1, 2, 3};
+static_assert(MinProtocolVersion == 1 && ProtocolVersion == 3,
+              "AllVersions must list [MinProtocolVersion, ProtocolVersion]");
+
+/// The float block of \p G encoded by encodeGrid: its offset after the
+/// name (u32 length + bytes), rows, cols and count, and its length.
+size_t floatsStart(const GridPayload &G) { return 4 + G.Name.size() + 12; }
+size_t floatsBytes(const GridPayload &G) {
+  return G.Data.size() * sizeof(float);
+}
+
+/// True when \p Bytes decode as one whole grid at \p Version.
+bool gridDecodes(const std::vector<uint8_t> &Bytes, uint16_t Version) {
+  ByteReader R(Bytes.data(), Bytes.size(), Version);
+  GridPayload Out;
+  return decodeGrid(R, Out) && R.exhausted();
+}
+
+std::vector<uint8_t> encodedGrid(const GridPayload &G, uint16_t Version) {
+  ByteWriter W(Version);
+  encodeGrid(W, G);
+  return W.take();
+}
+
+/// Flips bit \p Bit of \p Bytes, counting from bit 0 of byte \p At and
+/// least significant bit first: the order in which a reflected CRC
+/// consumes them, so a burst here is a burst to the CRC.
+void flipBit(std::vector<uint8_t> &Bytes, size_t At, size_t Bit) {
+  Bytes[At + Bit / 8] ^= static_cast<uint8_t>(1u << (Bit % 8));
+}
+
+/// Flips a burst of \p Len bits starting at bit \p First: its end bits
+/// always, each inner bit when the matching bit of \p Inner is set.
+void flipBurst(std::vector<uint8_t> &Bytes, size_t At, size_t First,
+               size_t Len, uint32_t Inner) {
+  flipBit(Bytes, At, First);
+  for (size_t I = 1; I + 1 < Len; ++I)
+    if (Inner >> I & 1u)
+      flipBit(Bytes, At, First + I);
+  if (Len > 1)
+    flipBit(Bytes, At, First + Len - 1);
+}
 
 } // namespace
 
@@ -231,18 +277,34 @@ TEST(NetWireTest, FrameHeaderRejectsOversizedPayloadLength) {
 }
 
 TEST(NetWireTest, BuildFrameMatchesHeaderPlusPayload) {
+  // A frame goes out as its header and payload side by side; resumed at
+  // any offset, as after a partial write, the bytes that arrive are
+  // exactly the rest of header + payload.
   std::vector<uint8_t> Payload = {1, 2, 3, 4, 5};
-  std::vector<uint8_t> Frame =
-      buildFrame(MsgType::PollRequest, /*RequestId=*/5, /*Tenant=*/3, Payload);
-  ASSERT_EQ(Frame.size(), FrameHeaderBytes + Payload.size());
-  Expected<FrameHeader> H = decodeFrameHeader(Frame.data(), Frame.size());
+  const auto Header = frameHeader(MsgType::PollRequest, /*RequestId=*/5,
+                                  /*Tenant=*/3, Payload.size());
+  Expected<FrameHeader> H = decodeFrameHeader(Header.data(), Header.size());
   ASSERT_TRUE(H);
   EXPECT_EQ(H->Type, MsgType::PollRequest);
   EXPECT_EQ(H->RequestId, 5u);
   EXPECT_EQ(H->Tenant, 3u);
   EXPECT_EQ(H->PayloadBytes, Payload.size());
-  EXPECT_EQ(std::vector<uint8_t>(Frame.begin() + FrameHeaderBytes, Frame.end()),
-            Payload);
+
+  std::vector<uint8_t> Frame(Header.begin(), Header.end());
+  Frame.insert(Frame.end(), Payload.begin(), Payload.end());
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  for (size_t Sent = 0; Sent != Frame.size(); ++Sent) {
+    const ssize_t N = sendFrameBytes(Fds[0], Header.data(), Payload.data(),
+                                     Payload.size(), Sent);
+    ASSERT_EQ(N, static_cast<ssize_t>(Frame.size() - Sent)) << Sent;
+    std::vector<uint8_t> Got(Frame.size() - Sent);
+    ASSERT_EQ(::read(Fds[1], Got.data(), Got.size()), N);
+    EXPECT_EQ(Got, std::vector<uint8_t>(Frame.begin() + Sent, Frame.end()))
+        << "resumed at byte " << Sent;
+  }
+  ::close(Fds[0]);
+  ::close(Fds[1]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -265,53 +327,59 @@ TEST(NetProtocolTest, HelloRoundTrip) {
 
 TEST(NetProtocolTest, SubmitRoundTripKeepsGridsBitwise) {
   const SubmitRequest M = sampleSubmitRequest();
-  std::vector<uint8_t> B = encode(M);
-  Expected<SubmitRequest> Back = decodeSubmitRequest(B.data(), B.size());
-  ASSERT_TRUE(Back);
-  EXPECT_EQ(Back->Kind, M.Kind);
-  EXPECT_EQ(Back->Source, M.Source);
-  EXPECT_EQ(Back->Fingerprint, M.Fingerprint);
-  EXPECT_EQ(Back->SubRows, M.SubRows);
-  EXPECT_EQ(Back->SubCols, M.SubCols);
-  EXPECT_EQ(Back->Iterations, M.Iterations);
-  EXPECT_EQ(Back->ResultName, M.ResultName);
-  ASSERT_EQ(Back->Grids.size(), M.Grids.size());
-  for (size_t I = 0; I != M.Grids.size(); ++I) {
-    EXPECT_EQ(Back->Grids[I].Kind, M.Grids[I].Kind);
-    EXPECT_EQ(Back->Grids[I].Grid.Name, M.Grids[I].Grid.Name);
-    EXPECT_EQ(Back->Grids[I].Grid.Rows, M.Grids[I].Grid.Rows);
-    EXPECT_EQ(Back->Grids[I].Grid.Cols, M.Grids[I].Grid.Cols);
-    // Bitwise, not approximately: floats cross the wire as raw IEEE
-    // bit patterns.
-    ASSERT_EQ(Back->Grids[I].Grid.Data.size(), M.Grids[I].Grid.Data.size());
-    EXPECT_EQ(std::memcmp(Back->Grids[I].Grid.Data.data(),
-                          M.Grids[I].Grid.Data.data(),
-                          M.Grids[I].Grid.Data.size() * sizeof(float)),
-              0);
+  for (uint16_t V : AllVersions) {
+    SCOPED_TRACE("version " + std::to_string(V));
+    std::vector<uint8_t> B = encode(M, V);
+    Expected<SubmitRequest> Back = decodeSubmitRequest(B.data(), B.size(), V);
+    ASSERT_TRUE(Back);
+    EXPECT_EQ(Back->Kind, M.Kind);
+    EXPECT_EQ(Back->Source, M.Source);
+    EXPECT_EQ(Back->Fingerprint, M.Fingerprint);
+    EXPECT_EQ(Back->SubRows, M.SubRows);
+    EXPECT_EQ(Back->SubCols, M.SubCols);
+    EXPECT_EQ(Back->Iterations, M.Iterations);
+    EXPECT_EQ(Back->ResultName, M.ResultName);
+    ASSERT_EQ(Back->Grids.size(), M.Grids.size());
+    for (size_t I = 0; I != M.Grids.size(); ++I) {
+      EXPECT_EQ(Back->Grids[I].Kind, M.Grids[I].Kind);
+      EXPECT_EQ(Back->Grids[I].Grid.Name, M.Grids[I].Grid.Name);
+      EXPECT_EQ(Back->Grids[I].Grid.Rows, M.Grids[I].Grid.Rows);
+      EXPECT_EQ(Back->Grids[I].Grid.Cols, M.Grids[I].Grid.Cols);
+      // Bitwise, not approximately: floats cross the wire as raw IEEE
+      // bit patterns.
+      ASSERT_EQ(Back->Grids[I].Grid.Data.size(), M.Grids[I].Grid.Data.size());
+      EXPECT_EQ(std::memcmp(Back->Grids[I].Grid.Data.data(),
+                            M.Grids[I].Grid.Data.data(),
+                            M.Grids[I].Grid.Data.size() * sizeof(float)),
+                0);
+    }
   }
 }
 
 TEST(NetProtocolTest, WaitResponseRoundTripKeepsTimingExact) {
   const WaitResponse M = sampleWaitResponse();
-  std::vector<uint8_t> B = encode(M);
-  Expected<WaitResponse> Back = decodeWaitResponse(B.data(), B.size());
-  ASSERT_TRUE(Back);
-  EXPECT_EQ(Back->Ok, M.Ok);
-  EXPECT_EQ(Back->Fingerprint, M.Fingerprint);
-  EXPECT_EQ(Back->CacheHit, M.CacheHit);
-  EXPECT_EQ(Back->Retries, M.Retries);
-  EXPECT_EQ(Back->FellBack, M.FellBack);
-  EXPECT_EQ(Back->CompileSeconds, M.CompileSeconds);
-  EXPECT_EQ(Back->ExecuteSeconds, M.ExecuteSeconds);
-  // The reconstructed TimingReport must agree on every derived number:
-  // rates a client computes match the server bit for bit.
-  const TimingReport A = M.report(), C = Back->report();
-  EXPECT_EQ(A.elapsedSeconds(), C.elapsedSeconds());
-  EXPECT_EQ(A.measuredMflops(), C.measuredMflops());
-  ASSERT_EQ(Back->HasResult, 1);
-  EXPECT_EQ(std::memcmp(Back->Result.Data.data(), M.Result.Data.data(),
-                        M.Result.Data.size() * sizeof(float)),
-            0);
+  for (uint16_t V : AllVersions) {
+    SCOPED_TRACE("version " + std::to_string(V));
+    std::vector<uint8_t> B = encode(M, V);
+    Expected<WaitResponse> Back = decodeWaitResponse(B.data(), B.size(), V);
+    ASSERT_TRUE(Back);
+    EXPECT_EQ(Back->Ok, M.Ok);
+    EXPECT_EQ(Back->Fingerprint, M.Fingerprint);
+    EXPECT_EQ(Back->CacheHit, M.CacheHit);
+    EXPECT_EQ(Back->Retries, M.Retries);
+    EXPECT_EQ(Back->FellBack, M.FellBack);
+    EXPECT_EQ(Back->CompileSeconds, M.CompileSeconds);
+    EXPECT_EQ(Back->ExecuteSeconds, M.ExecuteSeconds);
+    // The reconstructed TimingReport must agree on every derived number:
+    // rates a client computes match the server bit for bit.
+    const TimingReport A = M.report(), C = Back->report();
+    EXPECT_EQ(A.elapsedSeconds(), C.elapsedSeconds());
+    EXPECT_EQ(A.measuredMflops(), C.measuredMflops());
+    ASSERT_EQ(Back->HasResult, 1);
+    EXPECT_EQ(std::memcmp(Back->Result.Data.data(), M.Result.Data.data(),
+                          M.Result.Data.size() * sizeof(float)),
+              0);
+  }
 }
 
 TEST(NetProtocolTest, SmallMessagesRoundTrip) {
@@ -403,7 +471,8 @@ TEST(NetProtocolTest, EveryTruncationPrefixFailsCleanly) {
     for (size_t Len = 0; Len != C.Bytes.size(); ++Len) {
       if (Len == C.V1Boundary)
         continue;
-      EXPECT_FALSE(C.Decode(C.Bytes.data(), Len)) << "prefix " << Len;
+      EXPECT_FALSE(C.Decode(C.Bytes.data(), Len, ProtocolVersion))
+          << "prefix " << Len;
     }
 }
 
@@ -516,37 +585,136 @@ TEST(NetProtocolTest, TrailingGarbageIsRejected) {
 
 TEST(NetProtocolTest, SingleByteCorruptionNeverCrashes) {
   // Flip one byte at every offset of the big messages and run the
-  // decoder: any outcome but a crash/over-read is acceptable (a flip in
-  // a string body decodes fine; sanitizer builds catch the rest).
-  std::vector<uint8_t> B = encode(sampleSubmitRequest());
-  long Rejected = 0;
-  for (size_t I = 0; I != B.size(); ++I) {
-    std::vector<uint8_t> Bad = B;
-    Bad[I] ^= 0xA5;
-    if (!decodeSubmitRequest(Bad.data(), Bad.size()))
-      ++Rejected;
+  // decoder at every version: any outcome but a crash/over-read is
+  // acceptable (a flip in a string body decodes fine; sanitizer builds
+  // catch the rest) — except a grid that decodes with different data.
+  const SubmitRequest M = sampleSubmitRequest();
+  long AcceptedAtV2 = -1; // Version 2 is the FNV-1a64 codec of old.
+  for (uint16_t V : AllVersions) {
+    SCOPED_TRACE("version " + std::to_string(V));
+    std::vector<uint8_t> B = encode(M, V);
+    long Rejected = 0;
+    for (size_t I = 0; I != B.size(); ++I) {
+      std::vector<uint8_t> Bad = B;
+      Bad[I] ^= 0xA5;
+      Expected<SubmitRequest> Back =
+          decodeSubmitRequest(Bad.data(), Bad.size(), V);
+      if (!Back) {
+        ++Rejected;
+        continue;
+      }
+      ASSERT_EQ(Back->Grids.size(), M.Grids.size()) << "byte " << I;
+      for (size_t G = 0; G != M.Grids.size(); ++G) {
+        const std::vector<float> &Got = Back->Grids[G].Grid.Data;
+        const std::vector<float> &Want = M.Grids[G].Grid.Data;
+        EXPECT_TRUE(Got.size() == Want.size() &&
+                    std::memcmp(Got.data(), Want.data(),
+                                Want.size() * sizeof(float)) == 0)
+            << "byte " << I << " changed grid " << G << " undetected";
+      }
+    }
+    // The structured regions (lengths, counts, checksums) dominate the
+    // payload, so most flips must be caught.
+    EXPECT_GT(Rejected, static_cast<long>(B.size() / 2));
+    // No version lets more corruptions through than version 2 did.
+    const long Accepted = static_cast<long>(B.size()) - Rejected;
+    if (V == 2) {
+      AcceptedAtV2 = Accepted;
+    } else if (AcceptedAtV2 >= 0) {
+      EXPECT_LE(Accepted, AcceptedAtV2);
+    }
   }
-  // The structured regions (lengths, counts, checksums) dominate the
-  // payload, so most flips must be caught.
-  EXPECT_GT(Rejected, static_cast<long>(B.size() / 2));
 }
 
 TEST(NetProtocolTest, GridDataCorruptionIsCaughtByChecksum) {
-  // A flipped bit inside the float block specifically must fail the
-  // FNV-1a64 payload checksum — results never arrive silently wrong.
-  GridPayload G = sampleGrid("X", 8, 8, 9);
-  ByteWriter W;
-  encodeGrid(W, G);
-  std::vector<uint8_t> B = W.take();
-  // The float block: after name (u32 + 1 byte), rows, cols, count.
-  const size_t FloatsStart = 4 + G.Name.size() + 4 + 4 + 4;
-  for (size_t I = FloatsStart; I != FloatsStart + 16; ++I) {
-    std::vector<uint8_t> Bad = B;
-    Bad[I] ^= 0x01;
-    ByteReader R(Bad.data(), Bad.size());
-    GridPayload Out;
-    EXPECT_FALSE(decodeGrid(R, Out) && R.exhausted()) << "byte " << I;
+  // Every flipped bit inside the float block must fail the payload
+  // checksum at every version — results never arrive silently wrong.
+  const GridPayload G = sampleGrid("X", 8, 8, 9);
+  for (uint16_t V : AllVersions) {
+    SCOPED_TRACE("version " + std::to_string(V));
+    const std::vector<uint8_t> B = encodedGrid(G, V);
+    ASSERT_TRUE(gridDecodes(B, V));
+    for (size_t Bit = 0; Bit != 8 * floatsBytes(G); ++Bit) {
+      std::vector<uint8_t> Bad = B;
+      flipBit(Bad, floatsStart(G), Bit);
+      EXPECT_FALSE(gridDecodes(Bad, V)) << "bit " << Bit;
+    }
   }
+}
+
+TEST(NetProtocolTest, Crc32cCatchesEveryBurstUpTo32Bits) {
+  // CRC32C detects every error burst of up to 32 bits, which FNV-1a64
+  // never promised. Exhaustive over start bit and length on a small
+  // grid (all-ones and a seeded interior per burst), sampled on a
+  // 256x256 grid.
+  ASSERT_TRUE(floatsUseCrc32c(ProtocolVersion));
+  SplitMix64 Gen(0xb025);
+  {
+    const GridPayload G = sampleGrid("X", 8, 8, 21);
+    const std::vector<uint8_t> B = encodedGrid(G, ProtocolVersion);
+    const size_t Bits = 8 * floatsBytes(G);
+    long Rejected = 0, Tried = 0;
+    for (size_t Len = 1; Len <= 32; ++Len)
+      for (size_t First = 0; First + Len <= Bits; ++First)
+        for (uint32_t Inner : {~0u, static_cast<uint32_t>(Gen.next())}) {
+          std::vector<uint8_t> Bad = B;
+          flipBurst(Bad, floatsStart(G), First, Len, Inner);
+          ++Tried;
+          Rejected += !gridDecodes(Bad, ProtocolVersion);
+        }
+    EXPECT_EQ(Rejected, Tried);
+  }
+  {
+    const GridPayload G = sampleGrid("BIG", 256, 256, 22);
+    const std::vector<uint8_t> B = encodedGrid(G, ProtocolVersion);
+    const size_t Bits = 8 * floatsBytes(G);
+    for (int Sample = 0; Sample != 1000; ++Sample) {
+      const size_t Len = 1 + Gen.nextBelow(32);
+      const size_t First = Gen.nextBelow(Bits - Len + 1);
+      std::vector<uint8_t> Bad = B;
+      flipBurst(Bad, floatsStart(G), First, Len,
+                static_cast<uint32_t>(Gen.next()));
+      EXPECT_FALSE(gridDecodes(Bad, ProtocolVersion))
+          << "burst of " << Len << " bits at bit " << First;
+    }
+  }
+}
+
+TEST(NetProtocolTest, PayloadOfTheOtherChecksumFailsCleanly) {
+  // A grid payload read at a version with the other checksum has the
+  // wrong trailer width and value: it fails, it never decodes to data.
+  const SubmitRequest Submit = sampleSubmitRequest();
+  const WaitResponse Wait = sampleWaitResponse();
+  for (auto [Wrote, Read] : {std::pair<uint16_t, uint16_t>{2, 3}, {3, 2},
+                             {1, 3}, {3, 1}}) {
+    SCOPED_TRACE("written at " + std::to_string(Wrote) + ", read at " +
+                 std::to_string(Read));
+    const std::vector<uint8_t> S = encode(Submit, Wrote);
+    EXPECT_FALSE(decodeSubmitRequest(S.data(), S.size(), Read));
+    const std::vector<uint8_t> W = encode(Wait, Wrote);
+    EXPECT_FALSE(decodeWaitResponse(W.data(), W.size(), Read));
+    EXPECT_FALSE(gridDecodes(encodedGrid(Wait.Result, Wrote), Read));
+  }
+}
+
+TEST(NetProtocolTest, VersionOnePayloadsLeaveOutTheVersionTwoTails) {
+  SubmitRequest M = sampleSubmitRequest();
+  M.TraceId = 0x1111111111111111ull;
+  M.ParentSpan = 0x2222222222222222ull;
+  const std::vector<uint8_t> V1 = encode(M, 1), V2 = encode(M, 2);
+  EXPECT_EQ(V1.size() + 16, V2.size());
+  Expected<SubmitRequest> Back = decodeSubmitRequest(V1.data(), V1.size(), 1);
+  ASSERT_TRUE(Back);
+  EXPECT_EQ(Back->TraceId, 0u);
+  EXPECT_EQ(Back->Grids.size(), M.Grids.size());
+
+  StatsResponse S = sampleStatsResponse();
+  S.NetJson = "{}";
+  const std::vector<uint8_t> S1 = encode(S, 1);
+  Expected<StatsResponse> SBack = decodeStatsResponse(S1.data(), S1.size(), 1);
+  ASSERT_TRUE(SBack);
+  EXPECT_EQ(SBack->Json, S.Json);
+  EXPECT_TRUE(SBack->NetJson.empty());
 }
 
 TEST(NetProtocolTest, GridRejectsShapeMismatchAndHostileCounts) {
@@ -575,16 +743,17 @@ TEST(NetProtocolTest, GridRejectsShapeMismatchAndHostileCounts) {
 }
 
 TEST(NetProtocolTest, RandomByteStormsNeverCrashAnyDecoder) {
-  // Deterministic random buffers of many lengths through every decoder:
-  // nothing to assert about the outcome except that we survive to
-  // return (and under ASan, that nothing over-read).
+  // Deterministic random buffers of many lengths through every decoder
+  // at every version: nothing to assert about the outcome except that we
+  // survive to return (and under ASan, that nothing over-read).
   SplitMix64 Gen(0xf022ull);
   for (size_t Len : {0u, 1u, 3u, 7u, 16u, 27u, 64u, 255u, 1024u, 65536u}) {
     std::vector<uint8_t> Buf(Len);
     for (uint8_t &V : Buf)
       V = static_cast<uint8_t>(Gen.next());
-    for (AnyDecoder Decode : AllDecoders)
-      (void)Decode(Buf.data(), Buf.size());
+    for (uint16_t V : AllVersions)
+      for (AnyDecoder Decode : AllDecoders)
+        (void)Decode(Buf.data(), Buf.size(), V);
     // The same bytes as a frame header candidate.
     (void)decodeFrameHeader(Buf.data(), Buf.size());
   }
