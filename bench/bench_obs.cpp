@@ -109,7 +109,7 @@ RunOutput runFunctional(const MachineConfig &Config,
   Out.ResultBits.reserve(static_cast<size_t>(Grid.nodeCount()) * SubRows *
                          SubCols);
   for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
-    const Array2D &Sub = Result.subgrid(Grid.coordOf(Id));
+    const ConstSubgridRef Sub = Result.subgrid(Grid.coordOf(Id));
     for (int R = 0; R != SubRows; ++R)
       for (int C = 0; C != SubCols; ++C)
         Out.ResultBits.push_back(Sub.at(R, C));

@@ -120,8 +120,8 @@ int main() {
     // u_next -= u_prev (elementwise; the stock code generator's job).
     for (int NR = 0; NR != Grid.rows(); ++NR)
       for (int NC = 0; NC != Grid.cols(); ++NC) {
-        Array2D &N = Next->subgrid({NR, NC});
-        const Array2D &P = Prev->subgrid({NR, NC});
+        const SubgridRef N = Next->subgrid({NR, NC});
+        const ConstSubgridRef P = Prev->subgrid({NR, NC});
         for (int R = 0; R != SubRows; ++R)
           for (int C = 0; C != SubCols; ++C)
             N.at(R, C) -= P.at(R, C);

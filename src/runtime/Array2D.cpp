@@ -5,7 +5,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Array2D.h"
-#include "support/Random.h"
 #include <cmath>
 #include <limits>
 
@@ -23,21 +22,20 @@ float Array2D::atWrapped(int R, int C) const {
 }
 
 void Array2D::fillRandom(uint64_t Seed, float Low, float High) {
-  SplitMix64 Rng(Seed);
-  for (float &V : Data)
-    V = Rng.nextFloatInRange(Low, High);
+  view().fillRandom(Seed, Low, High);
 }
 
-float Array2D::maxAbsDifference(const Array2D &A, const Array2D &B) {
-  if (A.Rows != B.Rows || A.Cols != B.Cols)
+float Array2D::maxAbsDifference(ConstSubgridRef A, ConstSubgridRef B) {
+  if (A.rows() != B.rows() || A.cols() != B.cols())
     return std::numeric_limits<float>::infinity();
   float Max = 0.0f;
-  for (size_t I = 0; I != A.Data.size(); ++I) {
-    float D = std::fabs(A.Data[I] - B.Data[I]);
-    if (std::isnan(D))
-      return std::numeric_limits<float>::infinity();
-    if (D > Max)
-      Max = D;
-  }
+  for (int R = 0; R != A.rows(); ++R)
+    for (int C = 0; C != A.cols(); ++C) {
+      float D = std::fabs(A.row(R)[C] - B.row(R)[C]);
+      if (std::isnan(D))
+        return std::numeric_limits<float>::infinity();
+      if (D > Max)
+        Max = D;
+    }
   return Max;
 }

@@ -14,10 +14,66 @@
 #define CMCC_RUNTIME_ARRAY2D_H
 
 #include "support/Assert.h"
+#include "support/Random.h"
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace cmcc {
+
+/// A rows x cols window of row-major floats whose rows lie pitch()
+/// floats apart: a DistributedArray subgrid inside its halo margin, a
+/// subgrid extended into that margin, or a whole Array2D. A view refers
+/// to storage it does not own; copying it copies the reference.
+template <typename T> class Array2DView {
+public:
+  Array2DView() = default;
+  Array2DView(T *Origin, long Pitch, int Rows, int Cols)
+      : Origin(Origin), Pitch(Pitch), Rows(Rows), Cols(Cols) {
+    assert(Rows >= 0 && Cols >= 0 && Pitch >= Cols && "bad view shape");
+  }
+  /// A mutable view reads as a const one.
+  template <typename U, typename = std::enable_if_t<
+                            std::is_same_v<const U, T> &&
+                            !std::is_same_v<U, T>>>
+  Array2DView(Array2DView<U> Other)
+      : Array2DView(Other.data(), Other.pitch(), Other.rows(),
+                    Other.cols()) {}
+
+  int rows() const { return Rows; }
+  int cols() const { return Cols; }
+  /// Floats from one row's start to the next's.
+  long pitch() const { return Pitch; }
+  /// Element (0, 0); null for a default-constructed view.
+  T *data() const { return Origin; }
+
+  T *row(int R) const {
+    assert(R >= 0 && R < Rows && "row out of range");
+    return Origin + static_cast<long>(R) * Pitch;
+  }
+  T &at(int R, int C) const {
+    assert(R >= 0 && R < Rows && C >= 0 && C < Cols && "index out of range");
+    return Origin[static_cast<long>(R) * Pitch + C];
+  }
+
+  /// Fills row by row with deterministic pseudo-random values in [Low,
+  /// High): the same values Array2D::fillRandom gives a same-shaped
+  /// array.
+  void fillRandom(uint64_t Seed, float Low = -1.0f, float High = 1.0f) const {
+    SplitMix64 Rng(Seed);
+    for (int R = 0; R != Rows; ++R)
+      for (T *P = row(R), *End = P + Cols; P != End; ++P)
+        *P = Rng.nextFloatInRange(Low, High);
+  }
+
+private:
+  T *Origin = nullptr;
+  long Pitch = 0;
+  int Rows = 0, Cols = 0;
+};
+
+using SubgridRef = Array2DView<float>;
+using ConstSubgridRef = Array2DView<const float>;
 
 /// A rows x cols array of floats.
 class Array2D {
@@ -58,6 +114,11 @@ public:
     return Data.data() + static_cast<size_t>(R) * Cols;
   }
 
+  /// The whole array as a view (pitch == cols()).
+  SubgridRef view() { return {Data.data(), Cols, Rows, Cols}; }
+  ConstSubgridRef view() const { return {Data.data(), Cols, Rows, Cols}; }
+  operator ConstSubgridRef() const { return view(); }
+
   /// Element with circular (toroidal) index wrapping — Fortran CSHIFT
   /// semantics.
   float atWrapped(int R, int C) const;
@@ -69,7 +130,7 @@ public:
 
   /// Largest absolute elementwise difference; returns +inf on shape
   /// mismatch or if either array holds a NaN.
-  static float maxAbsDifference(const Array2D &A, const Array2D &B);
+  static float maxAbsDifference(ConstSubgridRef A, ConstSubgridRef B);
 
 private:
   int Rows = 0, Cols = 0;

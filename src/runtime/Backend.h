@@ -86,6 +86,15 @@ struct ResolvedStencilArguments {
   /// Parallel to StencilSpec::Taps; null for scalar coefficients and
   /// for bare terms.
   std::vector<const DistributedArray *> TapCoefficients;
+
+  /// Every array the run touches (result, sources, coefficients), with
+  /// repeats and nulls: what a run's HaloLocks take.
+  std::vector<const DistributedArray *> arrays() const {
+    std::vector<const DistributedArray *> All(Sources);
+    All.push_back(Result);
+    All.insert(All.end(), TapCoefficients.begin(), TapCoefficients.end());
+    return All;
+  }
 };
 
 /// Validates \p Args against \p Compiled for a machine of \p Config's

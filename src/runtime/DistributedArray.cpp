@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "runtime/DistributedArray.h"
+#include "support/ThreadPool.h"
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 using namespace cmcc;
@@ -15,17 +17,60 @@ DistributedArray::DistributedArray(const NodeGrid &Grid, int SubRows,
                                    int SubCols)
     : Grid(Grid), SubRows(SubRows), SubCols(SubCols) {
   assert(SubRows > 0 && SubCols > 0 && "subgrid must be nonempty");
-  Subgrids.reserve(Grid.nodeCount());
+  Storage.reserve(Grid.nodeCount());
   for (int I = 0; I != Grid.nodeCount(); ++I)
-    Subgrids.emplace_back(SubRows, SubCols);
+    Storage.emplace_back(SubRows, SubCols);
 }
 
-Array2D &DistributedArray::subgrid(NodeCoord C) {
-  return Subgrids[Grid.nodeId(C)];
+SubgridRef DistributedArray::subgrid(NodeCoord C) { return halo(C, 0); }
+
+ConstSubgridRef DistributedArray::subgrid(NodeCoord C) const {
+  return halo(C, 0);
 }
 
-const Array2D &DistributedArray::subgrid(NodeCoord C) const {
-  return Subgrids[Grid.nodeId(C)];
+SubgridRef DistributedArray::halo(NodeCoord C, int Border) const {
+  assert(Border >= 0 && Border <= Margin && "border exceeds the margin");
+  Array2D &S = Storage[Grid.nodeId(C)];
+  return {S.row(Margin - Border) + Margin - Border, pitch(),
+          SubRows + 2 * Border, SubCols + 2 * Border};
+}
+
+DistributedArray::DistributedArray(const DistributedArray &Src, int Margin,
+                                   ThreadPool *Pool)
+    : Grid(Src.Grid), SubRows(Src.SubRows), SubCols(Src.SubCols),
+      Margin(Margin), Storage(Src.copyWithMargin(Margin, Pool)) {}
+
+std::vector<Array2D> DistributedArray::copyWithMargin(int NewMargin,
+                                                      ThreadPool *Pool) const {
+  std::vector<Array2D> Out(Storage.size());
+  auto Copy = [&](int Id) {
+    Array2D S(SubRows + 2 * NewMargin, SubCols + 2 * NewMargin,
+              NewMargin > 0 ? std::numeric_limits<float>::quiet_NaN() : 0.0f);
+    ConstSubgridRef Core = subgrid(Grid.coordOf(Id));
+    for (int R = 0; R != SubRows; ++R)
+      std::copy_n(Core.row(R), SubCols, S.row(R + NewMargin) + NewMargin);
+    Out[static_cast<size_t>(Id)] = std::move(S);
+  };
+  if (Pool)
+    Pool->parallelFor(Grid.nodeCount(), Copy);
+  else
+    for (int Id = 0; Id != Grid.nodeCount(); ++Id)
+      Copy(Id);
+  return Out;
+}
+
+size_t DistributedArray::reserveMargin(int Border) const {
+  if (Border <= Margin)
+    return 0;
+  Storage = copyWithMargin(Border, /*Pool=*/nullptr);
+  Margin = Border;
+  return static_cast<size_t>(Grid.nodeCount()) * SubRows * SubCols *
+         sizeof(float);
+}
+
+std::vector<Array2D> DistributedArray::takeStorage() && {
+  Margin = 0;
+  return std::move(Storage);
 }
 
 void DistributedArray::scatter(const Array2D &Global) {
@@ -38,7 +83,7 @@ void DistributedArray::scatter(const float *Global) {
   const size_t Stride = static_cast<size_t>(globalCols());
   for (int NR = 0; NR != Grid.rows(); ++NR)
     for (int NC = 0; NC != Grid.cols(); ++NC) {
-      Array2D &Sub = subgrid({NR, NC});
+      SubgridRef Sub = subgrid({NR, NC});
       for (int R = 0; R != SubRows; ++R)
         std::copy_n(Global + (NR * SubRows + R) * Stride + NC * SubCols,
                     SubCols, Sub.row(R));
@@ -55,7 +100,7 @@ void DistributedArray::gather(float *Global) const {
   const size_t Stride = static_cast<size_t>(globalCols());
   for (int NR = 0; NR != Grid.rows(); ++NR)
     for (int NC = 0; NC != Grid.cols(); ++NC) {
-      const Array2D &Sub = subgrid({NR, NC});
+      ConstSubgridRef Sub = subgrid({NR, NC});
       for (int R = 0; R != SubRows; ++R)
         std::copy_n(Sub.row(R), SubCols,
                     Global + (NR * SubRows + R) * Stride + NC * SubCols);
@@ -67,6 +112,15 @@ float DistributedArray::atGlobal(int R, int C) const {
          "global index out of range");
   NodeCoord Node{R / SubRows, C / SubCols};
   return subgrid(Node).at(R % SubRows, C % SubCols);
+}
+
+HaloLocks::HaloLocks(std::vector<const DistributedArray *> Arrays) {
+  std::sort(Arrays.begin(), Arrays.end(), std::less<>());
+  Arrays.erase(std::unique(Arrays.begin(), Arrays.end()), Arrays.end());
+  Held.reserve(Arrays.size());
+  for (const DistributedArray *A : Arrays)
+    if (A)
+      Held.emplace_back(A->haloLock());
 }
 
 std::string

@@ -23,16 +23,34 @@
 #include "cm2/NodeGrid.h"
 #include "runtime/Array2D.h"
 #include "stencil/StencilSpec.h"
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace cmcc {
 
+class ThreadPool;
+
 /// A global (SubRows*NodeRows) x (SubCols*NodeCols) array stored as one
-/// subgrid per node.
+/// subgrid per node. Each subgrid lives inside a halo margin of
+/// margin() cells on every side, as the paper's run-time library keeps
+/// halo storage beside the node's data (§5.1): the exchange writes the
+/// neighbors' border bands into the margin and kernels read them in
+/// place. The margin starts at 0 and grows to the widest border any
+/// exchange of the array has asked for; it never shrinks.
+///
+/// Margin cells are not part of the array's value. Exchanges write them
+/// through a const array, serialized by haloLock(): a run holds the
+/// lock of every array it touches from its exchange to its last kernel
+/// read, because an exchange may re-lay out the storage (growing the
+/// margin moves every subgrid once).
 class DistributedArray {
 public:
   DistributedArray(const NodeGrid &Grid, int SubRows, int SubCols);
+  /// A copy of \p Src's subgrids inside a fresh NaN margin of \p Margin
+  /// cells, the core rows copied over \p Pool when given.
+  DistributedArray(const DistributedArray &Src, int Margin,
+                   ThreadPool *Pool = nullptr);
 
   int subRows() const { return SubRows; }
   int subCols() const { return SubCols; }
@@ -40,8 +58,29 @@ public:
   int globalCols() const { return SubCols * Grid.cols(); }
   const NodeGrid &grid() const { return Grid; }
 
-  Array2D &subgrid(NodeCoord C);
-  const Array2D &subgrid(NodeCoord C) const;
+  /// Node \p C's subgrid in place; rows are pitch() floats apart.
+  SubgridRef subgrid(NodeCoord C);
+  ConstSubgridRef subgrid(NodeCoord C) const;
+
+  /// The halo margin width, in cells on each side of every subgrid.
+  int margin() const { return Margin; }
+  /// Floats between the starts of two rows of one subgrid.
+  long pitch() const { return SubCols + 2L * Margin; }
+  /// Node \p C's subgrid extended \p Border <= margin() cells into its
+  /// margin on every side — the exchange writes the extension, kernels
+  /// read it.
+  SubgridRef halo(NodeCoord C, int Border) const;
+  /// Grows the margin to at least \p Border: each subgrid moves once
+  /// into fresh storage whose margin is NaN. Returns the bytes copied
+  /// (0 when the margin was already wide enough). The caller holds
+  /// haloLock().
+  size_t reserveMargin(int Border) const;
+  /// Moves out each node's storage: (subRows() + 2 margin()) x
+  /// (subCols() + 2 margin()) floats, indexed by NodeGrid::nodeId.
+  std::vector<Array2D> takeStorage() &&;
+
+  /// Serializes exchanges and storage re-layouts of this array.
+  std::mutex &haloLock() const { return Lock.M; }
 
   /// Scatters \p Global (must match the global shape).
   void scatter(const Array2D &Global);
@@ -60,9 +99,36 @@ public:
   std::string describeDecomposition(const std::string &Name) const;
 
 private:
+  /// Every subgrid copied into fresh storage with a NaN margin of
+  /// \p NewMargin cells.
+  std::vector<Array2D> copyWithMargin(int NewMargin, ThreadPool *Pool) const;
+
+  /// A mutex that copies as a fresh one, so arrays stay copyable.
+  struct HaloMutex {
+    HaloMutex() = default;
+    HaloMutex(const HaloMutex &) {}
+    HaloMutex &operator=(const HaloMutex &) { return *this; }
+    std::mutex M;
+  };
+
   NodeGrid Grid;
   int SubRows, SubCols;
-  std::vector<Array2D> Subgrids;
+  mutable int Margin = 0;
+  /// One (SubRows + 2 Margin) x (SubCols + 2 Margin) block per node.
+  mutable std::vector<Array2D> Storage;
+  mutable HaloMutex Lock;
+};
+
+/// Holds the halo locks of a set of arrays for its lifetime, taken in
+/// address order (each distinct array once) so that runs sharing
+/// arrays never deadlock.
+class HaloLocks {
+public:
+  HaloLocks() = default;
+  explicit HaloLocks(std::vector<const DistributedArray *> Arrays);
+
+private:
+  std::vector<std::unique_lock<std::mutex>> Held;
 };
 
 /// The halo exchange of §5.1, for one node: returns the node's subgrid

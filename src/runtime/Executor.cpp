@@ -25,10 +25,10 @@ namespace {
 /// executed-op count for the cross-check against the analytic total.
 template <typename BindingT>
 long runStripsWithBinding(FloatingPointUnit &Fpu,
-                          const std::vector<const Array2D *> &PaddedSources,
+                          const std::vector<ConstSubgridRef> &PaddedSources,
                           int Border, const StencilSpec &Spec,
-                          const std::vector<const Array2D *> &TapCoefficients,
-                          Array2D &Result,
+                          const std::vector<ConstSubgridRef> &TapCoefficients,
+                          SubgridRef Result,
                           const std::vector<Executor::PlannedStrip> &Plan) {
   long Ops = 0;
   for (const Executor::PlannedStrip &PS : Plan) {
@@ -45,7 +45,7 @@ long runStripsWithBinding(FloatingPointUnit &Fpu,
     Operands.Border = Border;
     Operands.Spec = &Spec;
     Operands.TapCoefficients = &TapCoefficients;
-    Operands.Result = &Result;
+    Operands.Result = Result;
     Operands.LeftCol = HS.LeftCol;
     BindingT Mem(Operands);
     // Lines are processed bottom to top; the prologue's offsets are
@@ -92,29 +92,29 @@ Executor::resolvedPlanFor(const CompiledStencil &Compiled, int SubRows,
   return Plan;
 }
 
-void Executor::runNode(const CompiledStencil &Compiled,
-                       const ResolvedStencilArguments &Resolved,
-                       DistributedArray &ResultArray,
-                       const std::vector<std::vector<Array2D>> &PaddedBySource,
-                       const std::vector<PlannedStrip> &Plan, NodeCoord Node,
-                       int Border, long *OpsExecuted) const {
+void Executor::runNode(
+    const CompiledStencil &Compiled, const ResolvedStencilArguments &Resolved,
+    DistributedArray &ResultArray,
+    const std::vector<std::vector<ConstSubgridRef>> &PaddedBySource,
+    const std::vector<PlannedStrip> &Plan, NodeCoord Node, int Border,
+    long *OpsExecuted) const {
   const StencilSpec &Spec = Compiled.Spec;
 
   // The halo exchange already ran (every node exchanges simultaneously);
-  // pick this node's padded copy of each source.
+  // pick this node's padded view of each source.
   const int NodeId = ResultArray.grid().nodeId(Node);
-  std::vector<const Array2D *> PaddedSources;
+  std::vector<ConstSubgridRef> PaddedSources;
   PaddedSources.reserve(Spec.sourceCount());
   for (int S = 0; S != Spec.sourceCount(); ++S)
-    PaddedSources.push_back(&PaddedBySource[S][NodeId]);
+    PaddedSources.push_back(PaddedBySource[S][NodeId]);
 
   // Coefficient names were resolved once per run(); index, don't look up.
-  std::vector<const Array2D *> TapCoefficients(Spec.Taps.size(), nullptr);
+  std::vector<ConstSubgridRef> TapCoefficients(Spec.Taps.size());
   for (size_t I = 0; I != Spec.Taps.size(); ++I)
     if (const DistributedArray *C = Resolved.TapCoefficients[I])
-      TapCoefficients[I] = &C->subgrid(Node);
+      TapCoefficients[I] = C->subgrid(Node);
 
-  Array2D &Result = ResultArray.subgrid(Node);
+  const SubgridRef Result = ResultArray.subgrid(Node);
 
   FloatingPointUnit Fpu(Config);
   long Ops =
@@ -178,8 +178,8 @@ Executor::tiledSteps(const CompiledStencil &Compiled,
 }
 
 void Executor::runNodeTiledStep(
-    const CompiledStencil &Compiled, const Array2D &In, Array2D &Out,
-    const std::vector<const Array2D *> &PaddedCoefficients,
+    const CompiledStencil &Compiled, ConstSubgridRef In, Array2D &Out,
+    const std::vector<ConstSubgridRef> &PaddedCoefficients,
     const TiledStep &Step, NodeCoord Node, int Border, int CoeffBorder,
     long *OpsExecuted) const {
   const StencilSpec &Spec = Compiled.Spec;
@@ -232,7 +232,7 @@ void Executor::runNodeTiledStep(
         Fpu.pokeRegister(W->Regs.unitRegister(), 1.0f);
 
       ClampedRegionBinding::Operands Operands;
-      Operands.Input = &In;
+      Operands.Input = In;
       Operands.InRow0 = RowShift;
       Operands.InCol0 = ColShift;
       Operands.Spec = &Spec;
@@ -424,7 +424,7 @@ Executor::runResolved(const CompiledStencil &Compiled,
     // three-step protocol), once per source array, all nodes at once,
     // plus the coefficient pads of a tiled run.
     Expected<ExchangedOperands> X =
-        exchangeOperands(Opts, Spec, Resolved, K, Pool);
+        exchangeOperands(Opts, Spec, Resolved, K);
     if (!X)
       return X.error();
 
@@ -439,7 +439,14 @@ Executor::runResolved(const CompiledStencil &Compiled,
     }
 
     long TiledNode0Ops = 0;
-    std::vector<std::vector<Array2D>> FinalInput;
+    // The tiled steps' double-buffered wide scratch, alive until the
+    // final step has read it.
+    std::vector<Array2D> Buffers[2];
+    std::vector<std::vector<ConstSubgridRef>> FinalInput;
+    // Each node's padded view of a step's wide scratch output.
+    auto Views = [](const std::vector<Array2D> &Buffer) {
+      return std::vector<ConstSubgridRef>(Buffer.begin(), Buffer.end());
+    };
     if (K == 1) {
       FinalInput = std::move(X->Sources);
     } else {
@@ -447,19 +454,18 @@ Executor::runResolved(const CompiledStencil &Compiled,
       // then the final step writes the result subgrids directly. The
       // parallelFor join between steps is the barrier: step s+1 reads
       // only what step s finished writing.
-      std::vector<Array2D> Buffers[2];
       Buffers[0].resize(static_cast<size_t>(Grid.nodeCount()));
       Buffers[1].resize(static_cast<size_t>(Grid.nodeCount()));
       for (size_t S = 0; S != Steps.size(); ++S) {
-        std::vector<Array2D> &In =
-            S == 0 ? X->Sources[0] : Buffers[(S - 1) & 1];
+        const std::vector<ConstSubgridRef> In =
+            S == 0 ? X->Sources[0] : Views(Buffers[(S - 1) & 1]);
         std::vector<Array2D> &Out = Buffers[S & 1];
         Pool->parallelFor(static_cast<int>(NodeIds.size()), [&](int I) {
           const int Id = NodeIds[static_cast<size_t>(I)];
-          std::vector<const Array2D *> NodeCoeffs(Spec.Taps.size(), nullptr);
+          std::vector<ConstSubgridRef> NodeCoeffs(Spec.Taps.size());
           for (size_t T = 0; T != Spec.Taps.size(); ++T)
             if (X->TapCoefficient[T] >= 0)
-              NodeCoeffs[T] = &X->Coefficients[static_cast<size_t>(
+              NodeCoeffs[T] = X->Coefficients[static_cast<size_t>(
                   X->TapCoefficient[T])][static_cast<size_t>(Id)];
           runNodeTiledStep(Compiled, In[static_cast<size_t>(Id)],
                            Out[static_cast<size_t>(Id)], NodeCoeffs,
@@ -467,8 +473,7 @@ Executor::runResolved(const CompiledStencil &Compiled,
                            Id == 0 ? &TiledNode0Ops : nullptr);
         });
       }
-      FinalInput.resize(1);
-      FinalInput[0] = std::move(Buffers[(Steps.size() - 1) & 1]);
+      FinalInput.push_back(Views(Buffers[(Steps.size() - 1) & 1]));
     }
 
     Pool->parallelFor(static_cast<int>(NodeIds.size()), [&](int I) {

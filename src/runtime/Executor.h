@@ -143,12 +143,13 @@ private:
   /// (PaddedBySource[sourceIndex][nodeId]), each padded by \p Border.
   /// Operand arrays come from \p Resolved — names were resolved once,
   /// up front, in run().
-  void runNode(const CompiledStencil &Compiled,
-               const ResolvedStencilArguments &Resolved,
-               DistributedArray &ResultArray,
-               const std::vector<std::vector<Array2D>> &PaddedBySource,
-               const std::vector<PlannedStrip> &Plan, NodeCoord Node,
-               int Border, long *OpsExecuted) const;
+  void
+  runNode(const CompiledStencil &Compiled,
+          const ResolvedStencilArguments &Resolved,
+          DistributedArray &ResultArray,
+          const std::vector<std::vector<ConstSubgridRef>> &PaddedBySource,
+          const std::vector<PlannedStrip> &Plan, NodeCoord Node, int Border,
+          long *OpsExecuted) const;
   std::vector<HalfStrip> planFor(const CompiledStencil &Compiled,
                                  int SubRows, int SubCols) const;
   std::vector<PlannedStrip> resolvedPlanFor(const CompiledStencil &Compiled,
@@ -180,9 +181,9 @@ private:
   /// Executes one node's share of one intermediate tiled step: replays
   /// each owner region's restricted strips against the node's wide
   /// scratch via ClampedRegionBinding; zero-fills masked regions.
-  void runNodeTiledStep(const CompiledStencil &Compiled, const Array2D &In,
+  void runNodeTiledStep(const CompiledStencil &Compiled, ConstSubgridRef In,
                         Array2D &Out,
-                        const std::vector<const Array2D *> &PaddedCoefficients,
+                        const std::vector<ConstSubgridRef> &PaddedCoefficients,
                         const TiledStep &Step, NodeCoord Node, int Border,
                         int CoeffBorder, long *OpsExecuted) const;
 

@@ -10,15 +10,13 @@
 using namespace cmcc;
 
 FastNodeBinding::FastNodeBinding(const HalfStripOperands &O) {
-  const std::vector<const Array2D *> &Sources = *O.PaddedSources;
+  const std::vector<ConstSubgridRef> &Sources = *O.PaddedSources;
   assert(!Sources.empty() && "a stencil always has a source array");
-  SourceStride = Sources.front()->cols();
   SourceOrigins.reserve(Sources.size());
-  for (const Array2D *P : Sources) {
-    assert(P->cols() == SourceStride &&
-           "all sources are padded to one shape");
-    SourceOrigins.push_back(P->data() + O.Border * SourceStride +
-                            O.LeftCol + O.Border);
+  for (ConstSubgridRef P : Sources) {
+    SourceStrides.push_back(P.pitch());
+    SourceOrigins.push_back(P.data() + O.Border * P.pitch() + O.LeftCol +
+                            O.Border);
   }
   SourceRows = SourceOrigins;
 
@@ -28,9 +26,9 @@ FastNodeBinding::FastNodeBinding(const HalfStripOperands &O) {
     TapStream S;
     S.Sign = static_cast<float>(T.Sign);
     if (T.Coeff.isArray()) {
-      const Array2D *Coef = (*O.TapCoefficients)[I];
-      S.Stride = Coef->cols();
-      S.Base = Coef->data() + O.LeftCol;
+      const ConstSubgridRef Coef = (*O.TapCoefficients)[I];
+      S.Stride = Coef.pitch();
+      S.Base = Coef.data() + O.LeftCol;
       S.Row = S.Base;
     } else {
       // Same float product the virtual binding computes per access,
@@ -40,14 +38,14 @@ FastNodeBinding::FastNodeBinding(const HalfStripOperands &O) {
     Taps.push_back(S);
   }
 
-  ResultStride = O.Result->cols();
-  ResultBase = O.Result->data() + O.LeftCol;
+  ResultStride = O.Result.pitch();
+  ResultBase = O.Result.data() + O.LeftCol;
   ResultRow = ResultBase;
 }
 
 void FastNodeBinding::setLine(int Row) {
   for (size_t S = 0; S != SourceRows.size(); ++S)
-    SourceRows[S] = SourceOrigins[S] + Row * SourceStride;
+    SourceRows[S] = SourceOrigins[S] + Row * SourceStrides[S];
   for (TapStream &T : Taps)
     if (T.Base)
       T.Row = T.Base + Row * T.Stride;

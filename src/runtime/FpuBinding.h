@@ -14,7 +14,7 @@
 ///
 ///   * FastNodeBinding is a concrete (non-virtual) binding that resolves
 ///     each WidthSchedule operand class once per half-strip into flat
-///     arrays: padded-source row pointers with a common row stride,
+///     arrays: padded-source row pointers with their row strides,
 ///     per-tap coefficient-stream pointers or sign-folded scalar
 ///     immediates, and a result row pointer. FloatingPointUnit's
 ///     templated executeSequence then runs against it with every call
@@ -42,13 +42,13 @@ namespace cmcc {
 /// one half-strip's operands on one node.
 struct HalfStripOperands {
   /// One halo-padded source subgrid per source array (all padded by the
-  /// same border, so all share one shape).
-  const std::vector<const Array2D *> *PaddedSources = nullptr;
+  /// same border; their row pitches may differ).
+  const std::vector<ConstSubgridRef> *PaddedSources = nullptr;
   int Border = 0;
   const StencilSpec *Spec = nullptr;
-  /// Parallel to Spec->Taps; null for scalar coefficients.
-  const std::vector<const Array2D *> *TapCoefficients = nullptr;
-  Array2D *Result = nullptr;
+  /// Parallel to Spec->Taps; empty views for scalar coefficients.
+  const std::vector<ConstSubgridRef> *TapCoefficients = nullptr;
+  SubgridRef Result;
   int LeftCol = 0;
 };
 
@@ -61,21 +61,21 @@ public:
   void setLine(int Row) { AbsRow = Row; }
 
   float loadData(int Source, int Dy, int Dx) override {
-    return (*O.PaddedSources)[Source]->at(AbsRow + Dy + O.Border,
-                                          O.LeftCol + Dx + O.Border);
+    return (*O.PaddedSources)[Source].at(AbsRow + Dy + O.Border,
+                                         O.LeftCol + Dx + O.Border);
   }
 
   float loadCoefficient(int TapIndex, int ResultIndex) override {
     const Tap &T = O.Spec->Taps[TapIndex];
     float C = T.Coeff.isArray()
-                  ? (*O.TapCoefficients)[TapIndex]->at(AbsRow,
-                                                       O.LeftCol + ResultIndex)
+                  ? (*O.TapCoefficients)[TapIndex].at(AbsRow,
+                                                      O.LeftCol + ResultIndex)
                   : static_cast<float>(T.Coeff.Value);
     return static_cast<float>(T.Sign) * C;
   }
 
   void storeResult(int ResultIndex, float Value) override {
-    O.Result->at(AbsRow, O.LeftCol + ResultIndex) = Value;
+    O.Result.at(AbsRow, O.LeftCol + ResultIndex) = Value;
   }
 
 private:
@@ -108,12 +108,12 @@ public:
   /// c + OutCol0). Kept window [KeepRow0, KeepRow1) x [KeepCol0,
   /// KeepCol1) is in owner space.
   struct Operands {
-    const Array2D *Input = nullptr;
+    ConstSubgridRef Input;
     int InRow0 = 0, InCol0 = 0;
     const StencilSpec *Spec = nullptr;
-    /// Parallel to Spec->Taps; null for scalar coefficients. Entries
-    /// are *padded* coefficient subgrids (border (k-1) x radius).
-    const std::vector<const Array2D *> *PaddedCoefficients = nullptr;
+    /// Parallel to Spec->Taps; empty views for scalar coefficients.
+    /// Entries are *padded* coefficient subgrids (border (k-1) x radius).
+    const std::vector<ConstSubgridRef> *PaddedCoefficients = nullptr;
     int CoRow0 = 0, CoCol0 = 0;
     Array2D *Output = nullptr;
     int OutRow0 = 0, OutCol0 = 0;
@@ -127,14 +127,14 @@ public:
 
   float loadData(int Source, int Dy, int Dx) {
     (void)Source; // Depths > 1 imply a single source (validated).
-    return clampedAt(*O.Input, AbsRow + Dy + O.InRow0,
+    return clampedAt(O.Input, AbsRow + Dy + O.InRow0,
                      O.LeftCol + Dx + O.InCol0);
   }
 
   float loadCoefficient(int TapIndex, int ResultIndex) {
     const Tap &T = O.Spec->Taps[TapIndex];
     float C = T.Coeff.isArray()
-                  ? clampedAt(*(*O.PaddedCoefficients)[TapIndex],
+                  ? clampedAt((*O.PaddedCoefficients)[TapIndex],
                               AbsRow + O.CoRow0,
                               O.LeftCol + ResultIndex + O.CoCol0)
                   : static_cast<float>(T.Coeff.Value);
@@ -150,7 +150,7 @@ public:
   }
 
 private:
-  static float clampedAt(const Array2D &A, int R, int C) {
+  static float clampedAt(ConstSubgridRef A, int R, int C) {
     if (R < 0 || R >= A.rows() || C < 0 || C >= A.cols())
       return std::numeric_limits<float>::quiet_NaN();
     return A.at(R, C);
@@ -169,7 +169,7 @@ public:
   void setLine(int Row);
 
   float loadData(int Source, int Dy, int Dx) {
-    return SourceRows[Source][Dy * SourceStride + Dx];
+    return SourceRows[Source][Dy * SourceStrides[Source] + Dx];
   }
 
   float loadCoefficient(int TapIndex, int ResultIndex) {
@@ -188,7 +188,7 @@ private:
     const float *Base = nullptr;
     /// Base + AbsRow * Stride, updated by setLine.
     const float *Row = nullptr;
-    int Stride = 0;
+    long Stride = 0;
     float Sign = 1.0f;
     /// Sign-folded scalar value (scalar coefficients only).
     float Immediate = 0.0f;
@@ -199,11 +199,11 @@ private:
   /// LeftCol) of the subgrid.
   std::vector<const float *> SourceOrigins;
   std::vector<const float *> SourceRows;
-  int SourceStride = 0;
+  std::vector<long> SourceStrides;
   std::vector<TapStream> Taps;
   float *ResultBase = nullptr;
   float *ResultRow = nullptr;
-  int ResultStride = 0;
+  long ResultStride = 0;
 };
 
 } // namespace cmcc

@@ -7,10 +7,9 @@
 #include "runtime/HaloExchange.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/ThreadPool.h"
 #include <algorithm>
-#include <functional>
 #include <limits>
+#include <mutex>
 
 using namespace cmcc;
 
@@ -20,13 +19,37 @@ namespace {
 /// pitches in floats), or zero-fills them when \p Src is null. Every
 /// pad band the exchange writes is one such call, with its source (zero
 /// boundary, local neighbor or transport block) chosen once per band.
-void copyBand(float *Dst, size_t DstPitch, const float *Src, size_t SrcPitch,
+void copyBand(float *Dst, long DstPitch, const float *Src, long SrcPitch,
               int Rows, int Width) {
   for (int R = 0; R != Rows; ++R, Dst += DstPitch) {
     if (Src)
       std::copy_n(Src + R * SrcPitch, Width, Dst);
     else
       std::fill_n(Dst, Width, 0.0f);
+  }
+}
+
+/// Writes NaN into the margin cells an exchange at \p B leaves unfilled:
+/// the ring beyond \p B of the M-wide margin around \p Full's SR x SC
+/// core, and the four B x B corners when they were not fetched.
+void poisonUnfilled(SubgridRef Full, int M, int B, bool FetchCorners) {
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const int D = M - B; // Width of the ring beyond the border.
+  const int Rows = Full.rows(), Cols = Full.cols();
+  const int Corner = FetchCorners ? 0 : B;
+  for (int R = 0; R != Rows; ++R) {
+    float *Row = Full.row(R);
+    if (R < D || R >= Rows - D) {
+      std::fill_n(Row, Cols, Nan);
+    } else if (R < D + B || R >= Rows - D - B) {
+      std::fill_n(Row, D + Corner, Nan);
+      std::fill_n(Row + Cols - D - Corner, D + Corner, Nan);
+    } else if (D == 0) {
+      R = Rows - B - 1; // Core rows have nothing to poison.
+    } else {
+      std::fill_n(Row, D, Nan);
+      std::fill_n(Row + Cols - D, D, Nan);
+    }
   }
 }
 
@@ -38,24 +61,38 @@ std::vector<Array2D> cmcc::exchangeHalos(const DistributedArray &A,
                                          BoundaryKind BoundaryDim2,
                                          bool FetchCorners,
                                          ThreadPool *Pool) {
-  Expected<std::vector<Array2D>> Padded = exchangeHalosPartitioned(
-      A, PartitionDomain::whole(A.grid().rows(), A.grid().cols()),
-      /*Transport=*/nullptr, /*SourceIndex=*/0, Border, BoundaryDim1,
-      BoundaryDim2, FetchCorners, Pool);
+  // Step 1 into fresh storage: a copy of A whose margin is exactly the
+  // border, which the in-place protocol then fills.
+  DistributedArray Copy = [&] {
+    CMCC_SPAN("halo.step1_copy");
+    std::lock_guard<std::mutex> Hold(A.haloLock());
+    return DistributedArray(A, Border, Pool);
+  }();
+  static obs::Counter &Bytes = obs::Registry::process().counter("halo.bytes");
+  Bytes.add(static_cast<long>(A.grid().nodeCount()) * A.subRows() *
+            A.subCols() * static_cast<long>(sizeof(float)));
   // The whole-grid domain never touches a transport, so the partitioned
   // protocol cannot fail here.
-  assert(Padded && "whole-grid halo exchange failed");
-  return std::move(*Padded);
+  Error E = exchangeHalosPartitioned(
+      Copy, PartitionDomain::whole(A.grid().rows(), A.grid().cols()),
+      /*Transport=*/nullptr, /*SourceIndex=*/0, Border, BoundaryDim1,
+      BoundaryDim2, FetchCorners);
+  assert(!E && "whole-grid halo exchange failed");
+  (void)E;
+  return std::move(Copy).takeStorage();
 }
 
-Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
-    const DistributedArray &A, const PartitionDomain &Domain,
-    HaloTransport *Transport, int SourceIndex, int Border,
-    BoundaryKind BoundaryDim1, BoundaryKind BoundaryDim2, bool FetchCorners,
-    ThreadPool *Pool) {
+Error cmcc::exchangeHalosPartitioned(const DistributedArray &A,
+                                     const PartitionDomain &Domain,
+                                     HaloTransport *Transport,
+                                     int SourceIndex, int Border,
+                                     BoundaryKind BoundaryDim1,
+                                     BoundaryKind BoundaryDim2,
+                                     bool FetchCorners) {
   CMCC_SPAN("halo.exchange");
   static obs::Counter &Exchanges =
       obs::Registry::process().counter("halo.exchanges");
+  static obs::Counter &Bytes = obs::Registry::process().counter("halo.bytes");
   Exchanges.add(1);
   const NodeGrid &Grid = A.grid();
   assert(Grid.rows() == Domain.LocalRows && Grid.cols() == Domain.LocalCols &&
@@ -65,8 +102,6 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
   const int B = Border;
   assert(B >= 0 && B <= SR && B <= SC &&
          "border width exceeds the subgrid");
-  const float Nan = std::numeric_limits<float>::quiet_NaN();
-  const size_t Pitch = static_cast<size_t>(SC + 2 * B); // Padded row length.
 
   // A split axis moves its block edges through the transport; an axis
   // the domain spans entirely wraps locally (the local torus is the
@@ -80,34 +115,19 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
   assert((!(RemoteWE || RemoteNS) || Transport) &&
          "split domain requires a transport");
 
-  // Every node performs each step simultaneously on the machine; on the
-  // host each step fans out over the pool, and the join between steps
-  // is the barrier the protocol needs (step 3 reads side pads written
-  // in step 2). Within a step, node Id writes only Padded[Id] regions
-  // that no other node reads during that same step.
-  auto ForEachNode = [&](const std::function<void(int)> &Fn) {
-    if (Pool)
-      Pool->parallelFor(Grid.nodeCount(), Fn);
-    else
-      for (int Id = 0; Id != Grid.nodeCount(); ++Id)
-        Fn(Id);
-  };
-
-  // Step 1: temporary storage, own subgrid copied row by row into the
-  // center. Unwritten pad cells stay poisoned so mistakes are loud.
-  std::vector<Array2D> Padded(Grid.nodeCount());
-  {
-    CMCC_SPAN("halo.step1_copy");
-    ForEachNode([&](int Id) {
-      Array2D P(SR + 2 * B, SC + 2 * B, B > 0 ? Nan : 0.0f);
-      const Array2D &Own = A.subgrid(Grid.coordOf(Id));
-      for (int R = 0; R != SR; ++R)
-        std::copy_n(Own.row(R), SC, P.row(R + B) + B);
-      Padded[Id] = std::move(P);
-    });
+  // Step 1, once per array: the margin the bands land in. Every row of
+  // every padded subgrid lies Pitch floats after the previous one.
+  long Written = static_cast<long>(A.reserveMargin(B));
+  const long Pitch = A.pitch();
+  auto Padded = [&](NodeCoord C) { return A.halo(C, B); };
+  const int Nodes = Grid.nodeCount();
+  for (int Id = 0; Id != Nodes; ++Id)
+    poisonUnfilled(A.halo(Grid.coordOf(Id), A.margin()), A.margin(), B,
+                   FetchCorners);
+  if (B == 0) {
+    Bytes.add(Written);
+    return Error::success();
   }
-  if (B == 0)
-    return Padded;
 
   // Step 2: every node exchanges its edge columns with its West and
   // East neighbors simultaneously. On a split axis the block-edge
@@ -124,13 +144,12 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
       Out.Low.resize(BlockFloats);
       Out.High.resize(BlockFloats);
       for (int LR = 0; LR != Domain.LocalRows; ++LR) {
-        const Array2D &WestEdge = A.subgrid({LR, 0});
-        const Array2D &EastEdge = A.subgrid({LR, Grid.cols() - 1});
-        for (int R = 0; R != SR; ++R) {
-          const size_t At = (static_cast<size_t>(LR) * SR + R) * B;
-          std::copy_n(WestEdge.row(R), B, Out.Low.data() + At);
-          std::copy_n(EastEdge.row(R) + SC - B, B, Out.High.data() + At);
-        }
+        const size_t At = static_cast<size_t>(LR) * SR * B;
+        copyBand(Out.Low.data() + At, B, A.subgrid({LR, 0}).row(0), Pitch,
+                 SR, B);
+        copyBand(Out.High.data() + At, B,
+                 A.subgrid({LR, Grid.cols() - 1}).row(0) + SC - B, Pitch, SR,
+                 B);
       }
       Expected<HaloBlocks> Got =
           Transport->exchange(SourceIndex, HaloStep::WestEast, Out);
@@ -143,9 +162,9 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
     }
 
     const bool ZeroWE = BoundaryDim2 == BoundaryKind::Zero;
-    ForEachNode([&](int Id) {
+    for (int Id = 0; Id != Nodes; ++Id) {
       NodeCoord Here = Grid.coordOf(Id);
-      float *Core = Padded[Id].row(B);
+      float *Core = Padded(Here).row(B);
       const size_t BlockAt = static_cast<size_t>(Here.Row) * SR * B;
 
       // West pad <- west neighbor's rightmost core columns.
@@ -157,7 +176,7 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
         copyBand(Core, Pitch,
                  A.subgrid(Grid.neighbor(Here, Direction::West)).row(0) +
                      SC - B,
-                 SC, SR, B);
+                 Pitch, SR, B);
 
       // East pad <- east neighbor's leftmost core columns.
       float *EastPad = Core + SC + B;
@@ -167,9 +186,9 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
         copyBand(EastPad, Pitch, In.High.data() + BlockAt, B, SR, B);
       else
         copyBand(EastPad, Pitch,
-                 A.subgrid(Grid.neighbor(Here, Direction::East)).row(0), SC,
-                 SR, B);
-    });
+                 A.subgrid(Grid.neighbor(Here, Direction::East)).row(0),
+                 Pitch, SR, B);
+    }
   }
 
   // Step 3: exchange edge rows with the North and South neighbors. The
@@ -181,13 +200,11 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
   // (§5.1's skipped third step) — on a split axis those columns never
   // enter the transport blocks at all. A node writes its own top and
   // bottom pad rows and reads its neighbors' *core* edge rows (B <= SR
-  // keeps the two disjoint), so the nodes of this step are independent
-  // too.
+  // keeps the two disjoint), so the order of the nodes does not matter.
   const int ColBegin = FetchCorners ? 0 : B;
-  const int ColEnd = FetchCorners ? SC + 2 * B : SC + B;
+  const int ShipCols = FetchCorners ? SC + 2 * B : SC;
   {
     CMCC_SPAN("halo.step3_ns");
-    const int ShipCols = ColEnd - ColBegin;
     HaloBlocks In;
     if (RemoteNS) {
       const size_t BlockFloats =
@@ -196,13 +213,12 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
       Out.Low.resize(BlockFloats);
       Out.High.resize(BlockFloats);
       for (int LC = 0; LC != Domain.LocalCols; ++LC) {
-        const Array2D &NorthEdge = Padded[Grid.nodeId({0, LC})];
-        const Array2D &SouthEdge = Padded[Grid.nodeId({Grid.rows() - 1, LC})];
         const size_t At = static_cast<size_t>(LC) * B * ShipCols;
-        copyBand(Out.Low.data() + At, ShipCols, NorthEdge.row(B) + ColBegin,
-                 Pitch, B, ShipCols);
-        copyBand(Out.High.data() + At, ShipCols, SouthEdge.row(SR) + ColBegin,
-                 Pitch, B, ShipCols);
+        copyBand(Out.Low.data() + At, ShipCols,
+                 Padded({0, LC}).row(B) + ColBegin, Pitch, B, ShipCols);
+        copyBand(Out.High.data() + At, ShipCols,
+                 Padded({Grid.rows() - 1, LC}).row(SR) + ColBegin, Pitch, B,
+                 ShipCols);
       }
       Expected<HaloBlocks> Got =
           Transport->exchange(SourceIndex, HaloStep::NorthSouth, Out);
@@ -215,9 +231,9 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
     }
 
     const bool ZeroNS = BoundaryDim1 == BoundaryKind::Zero;
-    ForEachNode([&](int Id) {
+    for (int Id = 0; Id != Nodes; ++Id) {
       NodeCoord Here = Grid.coordOf(Id);
-      Array2D &P = Padded[Id];
+      SubgridRef P = Padded(Here);
       const size_t BlockAt = static_cast<size_t>(Here.Col) * B * ShipCols;
 
       // North pad <- north neighbor's bottommost core rows (with pads).
@@ -229,8 +245,7 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
                  ShipCols);
       else
         copyBand(NorthPad, Pitch,
-                 Padded[Grid.nodeId(Grid.neighbor(Here, Direction::North))]
-                         .row(SR) +
+                 Padded(Grid.neighbor(Here, Direction::North)).row(SR) +
                      ColBegin,
                  Pitch, B, ShipCols);
 
@@ -243,11 +258,15 @@ Expected<std::vector<Array2D>> cmcc::exchangeHalosPartitioned(
                  ShipCols);
       else
         copyBand(SouthPad, Pitch,
-                 Padded[Grid.nodeId(Grid.neighbor(Here, Direction::South))]
-                         .row(B) +
+                 Padded(Grid.neighbor(Here, Direction::South)).row(B) +
                      ColBegin,
                  Pitch, B, ShipCols);
-    });
+    }
   }
-  return Padded;
+  // The four bands of every node: SR x B each side, B x ShipCols above
+  // and below.
+  Written += static_cast<long>(Nodes) * 2 * B * (SR + ShipCols) *
+             static_cast<long>(sizeof(float));
+  Bytes.add(Written);
+  return Error::success();
 }

@@ -28,56 +28,79 @@ constexpr int RowsPerTile = 32;
 
 Expected<ExchangedOperands>
 cmcc::exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
-                       const ResolvedStencilArguments &Resolved, int TimeTile,
-                       ThreadPool *Pool) {
+                       const ResolvedStencilArguments &Resolved,
+                       int TimeTile) {
   const int Radius = Spec.borderWidths().maximum();
   const bool FetchCorners =
       TimeTile > 1 || Spec.needsCornerData() || !Opts.AllowCornerSkip;
-  auto Exchange = [&](const DistributedArray &A, int SourceIndex,
-                      int Border) -> Expected<std::vector<Array2D>> {
+  const NodeGrid &Grid = Resolved.Result->grid();
+  const PartitionDomain Domain =
+      Opts.Domain ? *Opts.Domain
+                  : PartitionDomain::whole(Grid.rows(), Grid.cols());
+
+  ExchangedOperands X;
+  X.Locks = HaloLocks(Resolved.arrays());
+
+  // Every exchanged role in transport order: the sources at the full
+  // border, then — tiled runs only — each distinct coefficient array.
+  struct Role {
+    const DistributedArray *A;
+    int Border;
+  };
+  std::vector<Role> Roles;
+  for (const DistributedArray *S : Resolved.Sources)
+    Roles.push_back({S, TimeTile * Radius});
+  X.TapCoefficient.assign(Spec.Taps.size(), -1);
+  if (TimeTile > 1) {
+    const std::vector<std::string> Names = Spec.coefficientArrayNames();
+    for (size_t N = 0; N != Names.size(); ++N) {
+      const DistributedArray *C = nullptr;
+      for (size_t I = 0; I != Spec.Taps.size(); ++I)
+        if (Spec.Taps[I].Coeff.isArray() &&
+            Spec.Taps[I].Coeff.Name == Names[N]) {
+          X.TapCoefficient[I] = static_cast<int>(N);
+          C = Resolved.TapCoefficients[I];
+        }
+      assert(C && "coefficient name resolved to no array");
+      Roles.push_back({C, (TimeTile - 1) * Radius});
+    }
+  }
+
+  // One exchange per distinct array, at its first role's transport
+  // index and the widest border of its roles. An exchange writes NaN
+  // beyond its own border, so a second, narrower one would poison what
+  // the first role reads; with corners fetched (always, when tiled),
+  // the narrower role's window of the wide exchange holds exactly what
+  // its own exchange would.
+  for (size_t I = 0; I != Roles.size(); ++I) {
+    const DistributedArray *A = Roles[I].A;
+    if (std::any_of(Roles.begin(), Roles.begin() + I,
+                    [&](const Role &R) { return R.A == A; }))
+      continue;
+    int Border = 0;
+    for (size_t J = I; J != Roles.size(); ++J)
+      if (Roles[J].A == A)
+        Border = std::max(Border, Roles[J].Border);
     // Probed per exchange, not per run: any one of a run's exchanges
     // can be lost.
     if (fault::probe("halo.exchange"))
       return fault::injectedFault("halo.exchange");
-    if (Opts.Domain)
-      return exchangeHalosPartitioned(A, *Opts.Domain, Opts.Transport,
-                                      SourceIndex, Border, Spec.BoundaryDim1,
-                                      Spec.BoundaryDim2, FetchCorners, Pool);
-    return exchangeHalos(A, Border, Spec.BoundaryDim1, Spec.BoundaryDim2,
-                         FetchCorners, Pool);
+    if (Error E = exchangeHalosPartitioned(
+            *A, Domain, Opts.Transport, static_cast<int>(I), Border,
+            Spec.BoundaryDim1, Spec.BoundaryDim2, FetchCorners))
+      return E;
+  }
+
+  auto Views = [&](const Role &R) {
+    std::vector<ConstSubgridRef> V;
+    V.reserve(static_cast<size_t>(Grid.nodeCount()));
+    for (int Id = 0; Id != Grid.nodeCount(); ++Id)
+      V.push_back(R.A->halo(Grid.coordOf(Id), R.Border));
+    return V;
   };
-
-  ExchangedOperands X;
-  X.Sources.reserve(static_cast<size_t>(Spec.sourceCount()));
-  for (int S = 0; S != Spec.sourceCount(); ++S) {
-    Expected<std::vector<Array2D>> Padded =
-        Exchange(*Resolved.Sources[static_cast<size_t>(S)], S,
-                 TimeTile * Radius);
-    if (!Padded)
-      return Padded.error();
-    X.Sources.push_back(std::move(*Padded));
-  }
-
-  X.TapCoefficient.assign(Spec.Taps.size(), -1);
-  if (TimeTile == 1)
-    return X;
-  const std::vector<std::string> Names = Spec.coefficientArrayNames();
-  X.Coefficients.reserve(Names.size());
-  for (size_t N = 0; N != Names.size(); ++N) {
-    const DistributedArray *C = nullptr;
-    for (size_t I = 0; I != Spec.Taps.size(); ++I)
-      if (Spec.Taps[I].Coeff.isArray() && Spec.Taps[I].Coeff.Name == Names[N]) {
-        X.TapCoefficient[I] = static_cast<int>(N);
-        C = Resolved.TapCoefficients[I];
-      }
-    assert(C && "coefficient name resolved to no array");
-    Expected<std::vector<Array2D>> Padded =
-        Exchange(*C, Spec.sourceCount() + static_cast<int>(N),
-                 (TimeTile - 1) * Radius);
-    if (!Padded)
-      return Padded.error();
-    X.Coefficients.push_back(std::move(*Padded));
-  }
+  const size_t Sources = Resolved.Sources.size();
+  for (size_t I = 0; I != Roles.size(); ++I)
+    (I < Sources ? X.Sources : X.Coefficients).push_back(Views(Roles[I]));
   return X;
 }
 
@@ -106,7 +129,7 @@ Expected<TimingReport> cmcc::runOnHost(const MachineConfig &Config,
 
   Expected<ExchangedOperands> X = [&] {
     obs::Span ExchangeSpan(Spans.Exchange);
-    return exchangeOperands(Opts, Spec, Resolved, K, Pool);
+    return exchangeOperands(Opts, Spec, Resolved, K);
   }();
   if (!X)
     return X.error();
@@ -129,40 +152,34 @@ Expected<TimingReport> cmcc::runOnHost(const MachineConfig &Config,
     // subgrids with per-subgrid coefficients (the final step, and the
     // whole of an untiled run). Intermediate passes read the padded
     // coefficients.
-    auto Pass = [&](const std::vector<Array2D> *In, std::vector<Array2D> *Out,
-                    int POut) {
+    auto Pass = [&](const std::vector<ConstSubgridRef> *In,
+                    std::vector<Array2D> *Out, int POut) {
+      // Element (Row, Col) of a padded view's window POut beyond its
+      // core, padded by Pad.
+      auto At = [&](ConstSubgridRef V, int Pad, int Row, int Col) {
+        return V.data() + (Pad - POut + Row) * V.pitch() + Pad - POut + Col;
+      };
       for (int Id = 0; Id != Nodes; ++Id) {
         const NodeCoord Node = Grid.coordOf(Id);
         for (size_t I = 0; I != TapCount; ++I) {
           const size_t Slot = static_cast<size_t>(Id) * TapCount + I;
           const Tap &T = Spec.Taps[I];
           if (T.HasData) {
-            const Array2D &Padded =
+            const ConstSubgridRef Padded =
                 In ? (*In)[static_cast<size_t>(Id)]
                    : X->Sources[static_cast<size_t>(T.SourceIndex)]
                                [static_cast<size_t>(Id)];
-            TapSrcStride[Slot] = Padded.cols();
-            TapSrc[Slot] = Padded.data() +
-                           static_cast<size_t>(Border - POut + T.At.Dy) *
-                               Padded.cols() +
-                           Border - POut + T.At.Dx;
+            TapSrcStride[Slot] = Padded.pitch();
+            TapSrc[Slot] = At(Padded, Border, T.At.Dy, T.At.Dx);
           }
           if (!Resolved.TapCoefficients[I])
             continue;
-          if (Out) {
-            const Array2D &Sub =
-                X->Coefficients[static_cast<size_t>(X->TapCoefficient[I])]
-                               [static_cast<size_t>(Id)];
-            TapCoeffStride[Slot] = Sub.cols();
-            TapCoeff[Slot] = Sub.data() +
-                             static_cast<size_t>(CoeffBorder - POut) *
-                                 Sub.cols() +
-                             CoeffBorder - POut;
-          } else {
-            const Array2D &Sub = Resolved.TapCoefficients[I]->subgrid(Node);
-            TapCoeffStride[Slot] = Sub.cols();
-            TapCoeff[Slot] = Sub.data();
-          }
+          const ConstSubgridRef Sub =
+              Out ? X->Coefficients[static_cast<size_t>(X->TapCoefficient[I])]
+                                   [static_cast<size_t>(Id)]
+                  : Resolved.TapCoefficients[I]->subgrid(Node);
+          TapCoeffStride[Slot] = Sub.pitch();
+          TapCoeff[Slot] = Out ? At(Sub, CoeffBorder, 0, 0) : Sub.data();
         }
       }
 
@@ -175,12 +192,12 @@ Expected<TimingReport> cmcc::runOnHost(const MachineConfig &Config,
         const int Id = Task / TilesPerNode;
         const int RowBegin = (Task % TilesPerNode) * RowsPerTile;
         const int RowEnd = std::min(ExtRows, RowBegin + RowsPerTile);
-        Array2D &O = Out ? (*Out)[static_cast<size_t>(Id)]
-                         : Resolved.Result->subgrid(Grid.coordOf(Id));
+        const SubgridRef O = Out ? (*Out)[static_cast<size_t>(Id)].view()
+                                 : Resolved.Result->subgrid(Grid.coordOf(Id));
         const int OutPad = Out ? Border - POut : 0;
         const size_t Slot = static_cast<size_t>(Id) * TapCount;
-        Kernel(O.data() + static_cast<size_t>(OutPad) * O.cols() + OutPad,
-               O.cols(), TapSrc.data() + Slot, TapSrcStride.data() + Slot,
+        Kernel(O.data() + OutPad * O.pitch() + OutPad, O.pitch(),
+               TapSrc.data() + Slot, TapSrcStride.data() + Slot,
                TapCoeff.data() + Slot, TapCoeffStride.data() + Slot, RowBegin,
                RowEnd, ExtCols);
       });
@@ -195,18 +212,21 @@ Expected<TimingReport> cmcc::runOnHost(const MachineConfig &Config,
       // reaches exactly POut(s)), so the NaN fill at allocation
       // suffices.
       std::vector<Array2D> Buffers[2];
-      for (std::vector<Array2D> &BufferSet : Buffers) {
-        BufferSet.reserve(static_cast<size_t>(Nodes));
-        for (int Id = 0; Id != Nodes; ++Id)
-          BufferSet.emplace_back(SubRows + 2 * Border, SubCols + 2 * Border,
-                                 std::numeric_limits<float>::quiet_NaN());
+      std::vector<ConstSubgridRef> BufferViews[2];
+      for (int B = 0; B != 2; ++B) {
+        Buffers[B].reserve(static_cast<size_t>(Nodes));
+        for (int Id = 0; Id != Nodes; ++Id) {
+          Buffers[B].emplace_back(SubRows + 2 * Border, SubCols + 2 * Border,
+                                  std::numeric_limits<float>::quiet_NaN());
+          BufferViews[B].push_back(Buffers[B].back());
+        }
       }
       const bool AnyZero = Spec.BoundaryDim1 == BoundaryKind::Zero ||
                            Spec.BoundaryDim2 == BoundaryKind::Zero;
       for (int S = 1; S != K; ++S) {
         const int POut = (K - S) * Radius;
-        const std::vector<Array2D> *In =
-            S == 1 ? &X->Sources[0] : &Buffers[S & 1];
+        const std::vector<ConstSubgridRef> *In =
+            S == 1 ? &X->Sources[0] : &BufferViews[S & 1];
         std::vector<Array2D> *Out = &Buffers[(S - 1) & 1];
         Pass(In, Out, POut);
         if (AnyZero) {
@@ -227,7 +247,7 @@ Expected<TimingReport> cmcc::runOnHost(const MachineConfig &Config,
           });
         }
       }
-      Pass(&Buffers[(K - 2) & 1], nullptr, 0);
+      Pass(&BufferViews[(K - 2) & 1], nullptr, 0);
     }
   }
 

@@ -38,8 +38,6 @@
 
 namespace cmcc {
 
-class ThreadPool;
-
 /// How a host run exchanges halos and which pool it runs on. The native
 /// and njit backends take these as their options; the cm2 Executor's
 /// options extend them.
@@ -81,33 +79,37 @@ using RowKernelFn = void (*)(float *Out, long OutStride,
 /// folded signs and immediates).
 using RowKernel = std::function<std::remove_pointer_t<RowKernelFn>>;
 
-/// A run's padded operands after the §5.1 exchange.
+/// A run's padded operands after the §5.1 exchange: views into the
+/// arrays' own halo margins, valid while the operands live.
 struct ExchangedOperands {
-  /// By StencilSpec source index, then node id: padded by
-  /// TimeTile x radius.
-  std::vector<std::vector<Array2D>> Sources;
+  /// The halo locks of every array the run touches, held until the run
+  /// drops its operands: concurrent runs sharing an array serialize.
+  HaloLocks Locks;
+  /// By StencilSpec source index, then node id: the subgrid extended
+  /// TimeTile x radius into its margin.
+  std::vector<std::vector<ConstSubgridRef>> Sources;
   /// Tiled runs only: each distinct coefficient array (by name, in
-  /// first-appearance tap order), then node id, padded by
+  /// first-appearance tap order), then node id, extended by
   /// (TimeTile - 1) x radius. Intermediate pad cells multiply by the
   /// *owner's* coefficients.
-  std::vector<std::vector<Array2D>> Coefficients;
+  std::vector<std::vector<ConstSubgridRef>> Coefficients;
   /// Parallel to StencilSpec::Taps: the tap's index into Coefficients,
   /// or -1.
   std::vector<int> TapCoefficient;
 };
 
-/// The exchange prologue of every run: the `halo.exchange` fault probe
-/// per exchange, corner fetching (always when tiled — intermediate
-/// side-pad values feed corner-adjacent cells of later steps), the
-/// in-process or partitioned protocol, and — when \p TimeTile > 1 —
-/// the coefficient pads, with transport source indices following the
-/// real sources. The order is deterministic across shard workers.
-/// Fails before any result is written, so a retry starts from
-/// untouched sources.
+/// The exchange prologue of every run: takes the halo locks, then the
+/// `halo.exchange` fault probe per exchange, corner fetching (always
+/// when tiled — intermediate side-pad values feed corner-adjacent cells
+/// of later steps), the in-process or partitioned protocol, and — when
+/// \p TimeTile > 1 — the coefficient pads, with transport source
+/// indices following the real sources. An array bound to several roles
+/// is exchanged once, at the widest border they read. The order is
+/// deterministic across shard workers. Fails before any result is
+/// written, so a retry starts from untouched sources.
 Expected<ExchangedOperands>
 exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
-                 const ResolvedStencilArguments &Resolved, int TimeTile,
-                 ThreadPool *Pool);
+                 const ResolvedStencilArguments &Resolved, int TimeTile);
 
 /// Span names under which one host backend's phases are traced.
 struct HostRunSpans {

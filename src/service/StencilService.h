@@ -117,8 +117,11 @@ public:
     uint32_t Tenant = 0;
     /// When set, the job executes functionally against these arrays
     /// (caller keeps them alive until wait() returns; concurrent jobs
-    /// must bind disjoint result arrays). When null, the job produces a
-    /// timing-only report for SubRows x SubCols.
+    /// must bind disjoint result arrays). Concurrent jobs may share
+    /// source and coefficient arrays: each run holds the halo lock of
+    /// every array it binds while it exchanges into their margins and
+    /// reads them, so jobs sharing an array serialize on it. When null,
+    /// the job produces a timing-only report for SubRows x SubCols.
     StencilArguments *Args = nullptr;
     int SubRows = 64;
     int SubCols = 64;

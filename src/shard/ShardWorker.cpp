@@ -167,15 +167,9 @@ Error streamSubgrids(ShmRing &Ring, RingDir Dir, const DistributedArray &A,
   const NodeGrid &Grid = A.grid();
   for (int Id = 0; Id < Grid.nodeCount(); ++Id) {
     const NodeCoord At = Grid.coordOf(Id);
-    const size_t Count =
-        static_cast<size_t>(A.subRows()) * static_cast<size_t>(A.subCols());
-    if (Writing) {
-      if (Error E = Ring.writeFloats(Dir, A.subgrid(At).data(), Count))
-        return E;
-    } else {
-      if (Error E = Ring.readFloats(Dir, Dst->subgrid(At).data(), Count))
-        return E;
-    }
+    if (Error E = Writing ? Ring.writeRows(Dir, A.subgrid(At))
+                          : Ring.readRows(Dir, Dst->subgrid(At)))
+      return E;
   }
   return Error::success();
 }

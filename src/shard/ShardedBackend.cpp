@@ -409,8 +409,7 @@ Error ShardedBackend::scatterArray(Worker &W, uint32_t Slot,
   for (int LR = 0; LR != W.Domain.LocalRows; ++LR)
     for (int LC = 0; LC != W.Domain.LocalCols; ++LC) {
       const NodeCoord At{W.Domain.globalRow(LR), W.Domain.globalCol(LC)};
-      if (Error E = W.Ring.writeFloats(RingDir::ToWorker,
-                                       A.subgrid(At).data(), PerNode))
+      if (Error E = W.Ring.writeRows(RingDir::ToWorker, A.subgrid(At)))
         return E;
     }
   Expected<AckMessage> Ack = W.expectAck(net::MsgType::ShardDataResponse);
@@ -538,9 +537,8 @@ Error ShardedBackend::relayAndGather(const ResolvedStencilArguments &Resolved,
           for (int LC = 0; LC != W.Domain.LocalCols; ++LC) {
             const NodeCoord At{W.Domain.globalRow(LR),
                                W.Domain.globalCol(LC)};
-            if (W.Ring.readFloats(RingDir::ToCoordinator,
-                                  Resolved.Result->subgrid(At).data(),
-                                  ResultPerNode)) {
+            if (W.Ring.readRows(RingDir::ToCoordinator,
+                                Resolved.Result->subgrid(At))) {
               W.die();
               return Error::transient("shard result gather failed");
             }
@@ -615,6 +613,9 @@ ShardedBackend::runResolved(const CompiledStencil &Compiled,
     return makeError("sharded run requires resolved result and source arrays");
 
   std::lock_guard<std::mutex> Lock(RunMutex);
+  // The fleet reads the sources and writes the result in place, so no
+  // in-process run may re-lay them out meanwhile.
+  const HaloLocks Locks(Resolved.arrays());
   if (Error E = ensureWorkers())
     return E;
 

@@ -27,6 +27,7 @@
 #ifndef CMCC_SHARD_SHMRING_H
 #define CMCC_SHARD_SHMRING_H
 
+#include "runtime/Array2D.h"
 #include "support/Error.h"
 #include <atomic>
 #include <cstddef>
@@ -83,6 +84,28 @@ public:
   }
   Error readFloats(RingDir Dir, float *Data, size_t Count) {
     return read(Dir, Data, Count * sizeof(float));
+  }
+
+  /// A subgrid's rows in order, without the pitch padding between them:
+  /// one transfer when the rows are contiguous (a subgrid with no halo
+  /// margin), since each transfer pays a handshake with the peer.
+  Error writeRows(RingDir Dir, ConstSubgridRef Sub) {
+    if (Sub.pitch() == Sub.cols())
+      return writeFloats(Dir, Sub.data(),
+                         static_cast<size_t>(Sub.rows()) * Sub.cols());
+    for (int R = 0; R != Sub.rows(); ++R)
+      if (Error E = writeFloats(Dir, Sub.row(R), Sub.cols()))
+        return E;
+    return Error::success();
+  }
+  Error readRows(RingDir Dir, SubgridRef Sub) {
+    if (Sub.pitch() == Sub.cols())
+      return readFloats(Dir, Sub.data(),
+                        static_cast<size_t>(Sub.rows()) * Sub.cols());
+    for (int R = 0; R != Sub.rows(); ++R)
+      if (Error E = readFloats(Dir, Sub.row(R), Sub.cols()))
+        return E;
+    return Error::success();
   }
 
   /// Reads and discards \p Len bytes (abort paths drain announced

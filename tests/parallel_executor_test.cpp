@@ -273,8 +273,8 @@ TEST(FpuBindingTest, FastAndVirtualBindingsAgreeOpForOp) {
   C1.fillRandom(8);
   C2.fillRandom(9);
 
-  std::vector<const Array2D *> Sources{&Padded};
-  std::vector<const Array2D *> TapCoefficients{&C1, nullptr, &C2};
+  std::vector<ConstSubgridRef> Sources{Padded};
+  std::vector<ConstSubgridRef> TapCoefficients{C1, {}, C2};
 
   auto RunOneHalfStrip = [&](auto &Mem, FloatingPointUnit &Fpu) {
     Fpu.reset();
@@ -299,12 +299,12 @@ TEST(FpuBindingTest, FastAndVirtualBindingsAgreeOpForOp) {
   Operands.LeftCol = 0;
 
   FloatingPointUnit FpuFast(Config);
-  Operands.Result = &RFast;
+  Operands.Result = RFast.view();
   FastNodeBinding Fast(Operands);
   RunOneHalfStrip(Fast, FpuFast);
 
   FloatingPointUnit FpuVirt(Config);
-  Operands.Result = &RVirt;
+  Operands.Result = RVirt.view();
   VirtualNodeBinding Virt(Operands);
   RunOneHalfStrip(Virt, FpuVirt);
 

@@ -14,7 +14,9 @@
 ///     the process-wide shared pool, never a leased one;
 ///   * a StencilService with two workers and two threads per run, on
 ///     native and on njit, computes bitwise what serial runs compute,
-///     and builds no more pools than it has workers.
+///     and builds no more pools than it has workers — also when every
+///     job shares one source array, whose halo margin each exchange
+///     writes.
 ///
 /// The concurrent cases also run under tools/check_tsan.sh.
 ///
@@ -194,6 +196,80 @@ void checkServiceMatchesSerial(const char *Backend) {
   EXPECT_LE(ThreadPool::leasedPoolCount() - BuiltBefore, Opts.Workers);
 }
 
+/// Runs CSHIFT and EOSHIFT jobs of different border widths, every one
+/// bound to the same source array, through a two-worker, two-thread
+/// service on \p Backend, all submitted before the first wait. Each
+/// exchange writes the shared source's halo margin (and the first wide
+/// one re-lays it out), so the jobs must serialize on its halo lock:
+/// each result is checked bitwise against a serial run over a private
+/// copy of the source, and the source's value must be unchanged.
+void checkSharedSourceMatchesSerial(const char *Backend) {
+  const MachineConfig M = MachineConfig::withNodeGrid(2, 2);
+  const NodeGrid Grid(M);
+  constexpr int Sub = 32;
+  constexpr int Jobs = 12;
+  const std::string Statements[] = {
+      "R = 0.25 * CSHIFT(X, 1, -1) + 0.5 * X + 0.25 * CSHIFT(X, 2, 1)",
+      "R = 0.5 * EOSHIFT(X, 1, -2) + 0.25 * X - 0.125 * EOSHIFT(X, 2, 2)"};
+  Array2D Global(2 * Sub, 2 * Sub);
+  Global.fillRandom(99);
+  auto Request = [&](int J, StencilArguments &Args) {
+    StencilService::JobRequest Req;
+    Req.Kind = StencilService::SourceKind::FortranAssignment;
+    Req.Source = Statements[J % 2];
+    Req.Args = &Args;
+    Req.SubRows = Sub;
+    Req.SubCols = Sub;
+    return Req;
+  };
+  StencilService::Options Opts;
+  Opts.Backend = Backend;
+  Opts.FallbackToCm2 = false;
+
+  std::vector<Array2D> Want;
+  {
+    Opts.Workers = 1;
+    Opts.Exec.ThreadCount = 1;
+    StencilService Serial(M, Opts);
+    for (int J = 0; J != Jobs; ++J) {
+      DistributedArray Source(Grid, Sub, Sub), Result(Grid, Sub, Sub);
+      Source.scatter(Global);
+      StencilArguments Args;
+      Args.Result = &Result;
+      Args.Source = &Source;
+      StencilService::JobResult R =
+          Serial.wait(Serial.submit(Request(J, Args)));
+      ASSERT_TRUE(R.Ok) << R.Message;
+      Want.push_back(Result.gather());
+    }
+  }
+
+  Opts.Workers = 2;
+  Opts.Exec.ThreadCount = 2;
+  StencilService Service(M, Opts);
+  DistributedArray Shared(Grid, Sub, Sub);
+  Shared.scatter(Global);
+  std::vector<std::unique_ptr<DistributedArray>> Results;
+  std::vector<StencilArguments> Args(Jobs);
+  std::vector<StencilService::JobId> Ids;
+  for (int J = 0; J != Jobs; ++J) {
+    Results.push_back(std::make_unique<DistributedArray>(Grid, Sub, Sub));
+    Args[J].Result = Results.back().get();
+    Args[J].Source = &Shared;
+    Ids.push_back(Service.submit(Request(J, Args[J])));
+  }
+  for (int J = 0; J != Jobs; ++J) {
+    StencilService::JobResult R = Service.wait(Ids[J]);
+    ASSERT_TRUE(R.Ok) << R.Message;
+    const Array2D Out = Results[J]->gather();
+    EXPECT_EQ(std::memcmp(Out.data(), Want[J].data(),
+                          sizeof(float) * Out.rows() * Out.cols()),
+              0)
+        << Backend << " job " << J;
+  }
+  EXPECT_EQ(Array2D::maxAbsDifference(Shared.gather(), Global), 0.0f);
+}
+
 TEST(PoolLeaseTest, TwoWorkerNativeServiceMatchesSerialBitwise) {
   checkServiceMatchesSerial("native");
 }
@@ -203,6 +279,17 @@ TEST(PoolLeaseTest, TwoWorkerNjitServiceMatchesSerialBitwise) {
     GTEST_SKIP() << "no host C++ toolchain";
   ScopedJitCacheDir CacheDir;
   checkServiceMatchesSerial("njit");
+}
+
+TEST(PoolLeaseTest, SharedSourceNativeServiceMatchesSerialBitwise) {
+  checkSharedSourceMatchesSerial("native");
+}
+
+TEST(PoolLeaseTest, SharedSourceNjitServiceMatchesSerialBitwise) {
+  if (!isBackendAvailable("njit"))
+    GTEST_SKIP() << "no host C++ toolchain";
+  ScopedJitCacheDir CacheDir;
+  checkSharedSourceMatchesSerial("njit");
 }
 
 } // namespace
