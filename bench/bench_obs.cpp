@@ -22,6 +22,10 @@
 ///      an untraced ScopedTraceContext (what every request pays when no
 ///      client sends a trace id). The disabled-probe overhead of the
 ///      wire path must also stay under 2%.
+///   5. Prices the fault-injection seams the same way (DESIGN.md §5f):
+///      a disarmed probe must never fire, and the probes one warm
+///      service job crosses, each at the measured disarmed cost, must
+///      stay under 1% of that job's host time.
 ///
 /// Writes BENCH_obs.json with the overhead scalars.
 ///
@@ -34,6 +38,7 @@
 #include "obs/Trace.h"
 #include "obs/TraceContext.h"
 #include "service/StencilService.h"
+#include "support/FaultInjection.h"
 #include <cstring>
 #include <filesystem>
 #include <unistd.h>
@@ -60,6 +65,38 @@ double measureDisabledSpanNs() {
   auto End = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::nano>(End - Begin).count() /
          Spans;
+}
+
+/// Nanoseconds one *disarmed* fault probe costs; \p Fired counts the
+/// probes that fired anyway (the contract is zero).
+double measureDisarmedProbeNs(long &Fired) {
+  fault::Registry::process().reset();
+  constexpr long Probes = 20'000'000;
+  Fired = 0;
+  auto Begin = std::chrono::steady_clock::now();
+  for (long I = 0; I != Probes; ++I)
+    Fired += fault::probe("bench.disarmed") ? 1 : 0;
+  auto End = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(End - Begin).count() /
+         Probes;
+}
+
+/// Host seconds of \p Count jobs of \p Req, each submitted to \p Service
+/// and waited for before the next.
+double serviceJobsSeconds(StencilService &Service,
+                          const StencilService::JobRequest &Req, int Count) {
+  auto Begin = std::chrono::steady_clock::now();
+  for (int I = 0; I != Count; ++I) {
+    StencilService::JobResult R = Service.wait(Service.submit(Req));
+    if (!R.Ok) {
+      std::fprintf(stderr, "bench_obs: service job failed: %s\n",
+                   R.Message.c_str());
+      std::abort();
+    }
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Begin)
+      .count();
 }
 
 /// One functional execution's complete observable output: every result
@@ -308,6 +345,40 @@ int main(int argc, char **argv) {
   double OverheadPct = 100.0 * OverheadSeconds / Off.HostSeconds;
   bool OverheadOk = OverheadPct < 2.0;
 
+  //===--- 5. Disarmed fault-probe overhead -------------------------------===//
+  // A warm timing-only service job of the square9 pattern: its mean
+  // host time is the denominator. A rate-0 wildcard rule then counts
+  // the probes such a job crosses without ever firing one (armed probes
+  // take the registry mutex, so that leg only counts).
+  long ProbesFired = 0;
+  double ProbeNs = measureDisarmedProbeNs(ProbesFired);
+  constexpr int ServiceJobs = 50;
+  double ServiceJobUs = 0.0, ProbesPerJob = 0.0;
+  {
+    StencilService Service(Config, StencilService::Options{});
+    StencilService::JobRequest Req;
+    Req.Kind = StencilService::SourceKind::FortranSubroutine;
+    Req.Source = patternFortranSource(PatternId::Square9);
+    Req.SubRows = SubRows;
+    Req.SubCols = SubCols;
+    Req.Iterations = 100;
+    serviceJobsSeconds(Service, Req, 1); // Cold: compile once.
+    ServiceJobUs = serviceJobsSeconds(Service, Req, ServiceJobs) /
+                   ServiceJobs * 1e6;
+
+    fault::Registry &Faults = fault::Registry::process();
+    fault::Rule CountAll;
+    CountAll.Site = "*";
+    CountAll.Rate = 0.0;
+    Faults.arm(CountAll);
+    serviceJobsSeconds(Service, Req, ServiceJobs);
+    ProbesPerJob = static_cast<double>(Faults.totalProbes()) / ServiceJobs;
+    Faults.reset();
+  }
+  double FaultProbePct =
+      100.0 * ProbesPerJob * ProbeNs / (ServiceJobUs * 1000.0);
+  bool FaultProbeOk = ProbesFired == 0 && FaultProbePct < 1.0;
+
   TextTable T;
   T.setHeader({"measurement", "value"});
   T.addRow({"disabled span cost", formatFixed(DisabledNs, 2) + " ns"});
@@ -322,6 +393,10 @@ int main(int argc, char **argv) {
   T.addRow({"spans per wire job", formatFixed(WireSpansPerJob, 1)});
   T.addRow({"wire disabled-path overhead",
             formatFixed(WireOverheadPct, 4) + " %"});
+  T.addRow({"disarmed fault probe cost", formatFixed(ProbeNs, 2) + " ns"});
+  T.addRow({"warm service job", formatFixed(ServiceJobUs, 1) + " us"});
+  T.addRow({"fault probes per warm job", formatFixed(ProbesPerJob, 1)});
+  T.addRow({"fault-probe overhead", formatFixed(FaultProbePct, 4) + " %"});
 
   BenchJsonWriter Json("obs");
   Json.addRow("O1/square9_64x64_functional",
@@ -334,6 +409,9 @@ int main(int argc, char **argv) {
   Json.addScalar("wire_job_us", WireJobUs);
   Json.addScalar("wire_spans_per_job", WireSpansPerJob);
   Json.addScalar("wire_disabled_overhead_pct", WireOverheadPct);
+  Json.addScalar("fault_probe_ns", ProbeNs);
+  Json.addScalar("fault_probes_per_job", ProbesPerJob);
+  Json.addScalar("fault_probe_overhead_pct", FaultProbePct);
   std::string Path = Json.write();
 
   std::printf("\n=== O1: observability overhead, square9 %dx%d functional "
@@ -354,6 +432,13 @@ int main(int argc, char **argv) {
                  "bench_obs: wire disabled-path overhead %.4f%% exceeds "
                  "the 2%% bound\n",
                  WireOverheadPct);
+    return 1;
+  }
+  if (!FaultProbeOk) {
+    std::fprintf(stderr,
+                 "bench_obs: %ld disarmed fault probes fired; probes cost "
+                 "%.4f%% of a warm service job (budget is 1%%)\n",
+                 ProbesFired, FaultProbePct);
     return 1;
   }
   benchmark::Shutdown();

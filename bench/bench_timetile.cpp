@@ -31,11 +31,6 @@
 /// seconds grow with k — the tile pays off where exchanges have real
 /// latency, which is what the simulated column models.
 ///
-/// K3 — plan batching. The same warm fingerprint burst through a
-/// non-batching service and a batching one (--batch-window-ms); grouped
-/// execution amortizes plan resolution, and the ServiceStats counters
-/// printed alongside prove the grouping actually happened.
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
@@ -304,63 +299,6 @@ void benchServiceDepth(BenchJsonWriter &Json) {
               patternName(PatternId::Cross9R2), StepBudget, T.str().c_str());
 }
 
-/// K3: the same warm burst, unbatched vs batched.
-void benchBatching(BenchJsonWriter &Json) {
-  constexpr int Jobs = 48;
-  constexpr int Sub = 64;
-
-  TextTable T;
-  T.setHeader({"window(ms)", "jobs/s", "host(s)", "batches",
-               "batched jobs"});
-  for (long WindowMs : {0L, 8L}) {
-    StencilService::Options Opts;
-    Opts.Workers = 1; // One worker: every queued job is claimable.
-    Opts.BatchWindowMs = WindowMs;
-    StencilService Service(MachineConfig::testMachine16(), Opts);
-
-    StencilService::JobRequest Req;
-    Req.Kind = StencilService::SourceKind::FortranSubroutine;
-    Req.Source = patternFortranSource(PatternId::Diamond13);
-    Req.SubRows = Sub;
-    Req.SubCols = Sub;
-    Req.Iterations = 10;
-    StencilService::JobResult Warm = Service.wait(Service.submit(Req));
-    if (!Warm.Ok) {
-      std::fprintf(stderr, "bench_timetile: batch warmup failed: %s\n",
-                   Warm.Message.c_str());
-      std::abort();
-    }
-
-    auto Begin = std::chrono::steady_clock::now();
-    std::vector<StencilService::JobId> Ids;
-    for (int I = 0; I != Jobs; ++I)
-      Ids.push_back(Service.submit(Req));
-    for (StencilService::JobId Id : Ids)
-      if (StencilService::JobResult R = Service.wait(Id); !R.Ok) {
-        std::fprintf(stderr, "bench_timetile: batch job failed: %s\n",
-                     R.Message.c_str());
-        std::abort();
-      }
-    double HostS = seconds(Begin);
-
-    ServiceStats S = Service.stats();
-    if (WindowMs > 0 && S.BatchedJobs == 0)
-      std::fprintf(stderr, "bench_timetile: warning: window %ldms grouped "
-                           "nothing (loaded host?)\n",
-                   WindowMs);
-    T.addRow({std::to_string(WindowMs), formatFixed(Jobs / HostS, 1),
-              formatFixed(HostS, 3), std::to_string(S.Batches),
-              std::to_string(S.BatchedJobs)});
-    Json.addRow("K3/batch/window=" + std::to_string(WindowMs) + "ms", -1.0,
-                -1.0, HostS);
-    Json.addScalar("batched_jobs_window" + std::to_string(WindowMs),
-                   static_cast<double>(S.BatchedJobs));
-  }
-  std::printf("=== K3: warm %s burst (%d jobs), unbatched vs batched "
-              "===\n\n%s\n",
-              patternName(PatternId::Diamond13), Jobs, T.str().c_str());
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -371,7 +309,6 @@ int main(int argc, char **argv) {
   benchExchangeTraffic(Json);
   benchSimulatedDepth(Json);
   benchServiceDepth(Json);
-  benchBatching(Json);
 
   std::string Path = Json.write();
   if (!Path.empty())

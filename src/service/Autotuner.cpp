@@ -14,29 +14,19 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 using namespace cmcc;
 
 namespace {
 
-/// Sum of the phase histograms a run's host time lands in. The cm2
-/// path records executor.run_host_us; the wall-clock backends record
-/// backend.<name>.run_host_us around it — summing all three makes the
-/// delta backend-agnostic.
-double runHostUsTotal() {
-  obs::Registry &R = obs::Registry::process();
-  return R.histogram("executor.run_host_us").sum() +
-         R.histogram("backend.native.run_host_us").sum() +
-         R.histogram("backend.njit.run_host_us").sum();
-}
+/// The tile depths a sweep tries, before clamping to the plan.
+constexpr int CandidateDepths[] = {1, 2, 4, 8};
 
 } // namespace
 
 Autotuner::Autotuner(const MachineConfig &Config, Options Opts)
-    : Config(Config), Opts(std::move(Opts)) {
-  if (this->Opts.Depths.empty())
-    this->Opts.Depths = {1};
-}
+    : Config(Config), Opts(std::move(Opts)) {}
 
 void Autotuner::noteMetric(const char *Name) {
   if (Opts.Metrics)
@@ -174,11 +164,11 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
   noteMetric("service.tune_misses");
   noteMetric("service.tune_sweeps");
 
-  // Candidate depths: each requested depth clamped to what the plan
-  // and subgrid admit (deep requests collapse onto the deepest legal
-  // tile), deduplicated, depth 1 always present as the baseline.
-  std::vector<int> Depths{1};
-  for (int D : Opts.Depths) {
+  // Candidate depths: each clamped to what the plan and subgrid admit
+  // (deep requests collapse onto the deepest legal tile), deduplicated,
+  // depth 1 first as the baseline.
+  std::vector<int> Depths;
+  for (int D : CandidateDepths) {
     int K = timetile::clampTimeTile(Plan.Spec, D, SubRows, SubCols);
     if (std::find(Depths.begin(), Depths.end(), K) == Depths.end())
       Depths.push_back(K);
@@ -190,25 +180,18 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
   for (int K : Depths) {
     RunOptions RO;
     RO.TimeTile = K;
-    const double HistBefore = WallClock ? runHostUsTotal() : 0.0;
     Expected<TimingReport> Report =
         Backend.timeOnly(Plan, SubRows, SubCols, RO);
     if (!Report)
       continue; // An undeployable depth scores itself out.
-    // Per-timestep cost: depth k's run covers k chained steps, so the
-    // fair comparison divides by k. Wall-clock backends are scored by
-    // the obs phase-histogram delta their run recorded (falling back
-    // to the report when the run was too fast to register); cm2 by
-    // the simulated machine time.
-    double Us;
-    if (WallClock) {
-      Us = runHostUsTotal() - HistBefore;
-      if (Us <= 0.0)
-        Us = Report->HostSecondsPerIteration * 1e6;
-    } else {
-      Us = Report->secondsPerIteration() * 1e6;
-    }
-    Us /= K;
+    // Each depth is scored from its own probe's report, never from a
+    // process-wide total that other workers' jobs also feed: the
+    // measured wall clock for wall-clock backends, the simulated time
+    // for cm2. Depth k's run covers k chained steps, so the fair
+    // per-timestep comparison divides by k.
+    double Us = (WallClock ? Report->HostSecondsPerIteration
+                           : Report->secondsPerIteration()) *
+                1e6 / K;
     if (Best.ScoreUs < 0.0 || Us < Best.ScoreUs) {
       Best.TimeTile = K;
       Best.ScoreUs = Us;

@@ -9,13 +9,14 @@
 /// leaves open: the time-tile depth (runtime/TimeTile.h).
 ///
 /// The tuner is keyed like the plan cache: per (plan fingerprint,
-/// machine). A cold key sweeps the candidate depths through the
-/// backend's timeOnly path and scores each by *per-timestep* cost read
-/// from the obs layer's phase histograms (backend.*.run_host_us /
-/// executor.run_host_us deltas for wall-clock backends, the simulated
-/// seconds for cm2) — depth k fuses k steps behind one exchange, so a
-/// fair comparison divides by k. The winner persists as a versioned
-/// text record beside the cached plan:
+/// machine). A cold key sweeps the candidate depths 1, 2, 4 and 8
+/// through the backend's timeOnly path and scores each by
+/// *per-timestep* cost read from that probe's own TimingReport (the
+/// run's measured wall clock for wall-clock backends, the simulated
+/// seconds for cm2), so jobs other workers run meanwhile cannot leak
+/// into a score. Depth k fuses k steps behind one exchange, so a fair
+/// comparison divides by k. The winner persists as a versioned text
+/// record beside the cached plan:
 ///
 ///     <dir>/<fingerprint-hex>.tune
 ///
@@ -48,7 +49,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace cmcc {
 namespace obs {
@@ -70,8 +70,6 @@ public:
   struct Options {
     /// Directory for persisted records; empty = memory-only tuning.
     std::string Dir;
-    /// Candidate tile depths (clamped per plan/subgrid before use).
-    std::vector<int> Depths = {1, 2, 4, 8};
     /// When set, every Counters increment is mirrored as a
     /// service.tune_* counter in this registry (so metrics exports
     /// carry the tuner's behavior). The registry must outlive the
@@ -97,7 +95,7 @@ public:
   std::optional<TunedParams> lookup(uint64_t Fingerprint,
                                     const ExecutionBackend &Backend);
 
-  /// Sweeps Options::Depths (clamped to the plan and subgrid) through
+  /// Sweeps the candidate depths (clamped to the plan and subgrid) through
   /// \p Backend.timeOnly, picks the cheapest per-timestep depth, and
   /// persists + remembers the winner. Returns the winner (TimeTile = 1
   /// when nothing beats the untiled run or the sweep cannot run at

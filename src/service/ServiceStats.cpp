@@ -25,8 +25,6 @@ std::string ServiceStats::str() const {
   T.addRow({"deadlines exceeded", std::to_string(DeadlineExceeded)});
   T.addRow({"execute retries", std::to_string(Retries)});
   T.addRow({"backend fallbacks", std::to_string(Fallbacks)});
-  T.addRow({"plan batches", std::to_string(Batches)});
-  T.addRow({"batched jobs", std::to_string(BatchedJobs)});
   T.addRow({"autotune hits (mem/disk)", std::to_string(TuneHits) + "/" +
                                             std::to_string(TuneDiskHits)});
   T.addRow({"autotune sweeps", std::to_string(TuneSweeps)});
@@ -85,8 +83,6 @@ std::string ServiceStats::json() const {
       "  \"service.deadline_exceeded\": %ld,\n"
       "  \"service.retries\": %ld,\n"
       "  \"service.fallbacks\": %ld,\n"
-      "  \"service.batches\": %ld,\n"
-      "  \"service.batched_jobs\": %ld,\n"
       "  \"tune_hits\": %ld,\n"
       "  \"tune_disk_hits\": %ld,\n"
       "  \"tune_misses\": %ld,\n"
@@ -109,9 +105,8 @@ std::string ServiceStats::json() const {
       "  \"aggregate_sim_mflops\": %.6g,\n"
       "  \"tenants\": [",
       JobsSubmitted, JobsCompleted, JobsFailed, QueueDepth, MaxQueueDepth,
-      Rejected, Cancelled, DeadlineExceeded, Retries, Fallbacks, Batches,
-      BatchedJobs, TuneHits, TuneDiskHits, TuneMisses, TuneDiskRejects,
-      TuneSweeps,
+      Rejected, Cancelled, DeadlineExceeded, Retries, Fallbacks, TuneHits,
+      TuneDiskHits, TuneMisses, TuneDiskRejects, TuneSweeps,
       FrontEndRuns, SourceMemoHits, CompilesPerformed, CompilesCoalesced,
       Cache.Hits, Cache.Misses, Cache.hitRate(), Cache.Evictions,
       Cache.DiskHits, Cache.DiskRejects, CompileSecondsTotal,

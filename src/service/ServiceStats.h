@@ -39,9 +39,7 @@ struct ServiceStats {
   long Retries = 0;          ///< Execute attempts beyond each job's first.
   long Fallbacks = 0;        ///< Jobs that fell back to the cm2 backend.
 
-  //===--- Plan batching + autotuning (DESIGN.md §5k) ---------------------===//
-  long Batches = 0;     ///< Same-fingerprint groups run back-to-back.
-  long BatchedJobs = 0; ///< Follower jobs claimed into a batch.
+  //===--- Autotuning (DESIGN.md §5k) -------------------------------------===//
   long TuneHits = 0;        ///< Tuned params served from memory.
   long TuneDiskHits = 0;    ///< Tuned params loaded from a valid record.
   long TuneMisses = 0;      ///< No usable record: a sweep ran.

@@ -70,7 +70,6 @@ StencilService::StencilService(const MachineConfig &Config, Options Opts)
             Autotuner::Options AO;
             // Records live beside the cached plans unless redirected.
             AO.Dir = Opts.TuneDir.empty() ? Opts.Cache.DiskDir : Opts.TuneDir;
-            AO.Depths = Opts.TuneDepths;
             // Metrics is a later member, so only its address is taken
             // here; the tuner touches it lazily, never at construction.
             AO.Metrics = &Metrics;
@@ -89,8 +88,6 @@ StencilService::StencilService(const MachineConfig &Config, Options Opts)
       Retries(Metrics.counter("service.retries")),
       Fallbacks(Metrics.counter("service.fallbacks")),
       SlowJobs(Metrics.counter("service.slow_jobs")),
-      Batches(Metrics.counter("service.batches")),
-      BatchedJobs(Metrics.counter("service.batched_jobs")),
       QueueDepth(Metrics.gauge("service.queue_depth")),
       CompileUs(Metrics.histogram("service.compile_us")),
       ExecuteUs(Metrics.histogram("service.execute_us")),
@@ -157,8 +154,6 @@ const char *StencilService::jobEventName(JobEvent E) {
     return "done";
   case JobEvent::Failed:
     return "failed";
-  case JobEvent::Batched:
-    return "batched";
   case JobEvent::Autotuned:
     return "autotuned";
   }
@@ -719,10 +714,6 @@ void StencilService::process(Job &J) {
     return;
   }
 
-  // Plan batching: with the resolved plan in hand, queued jobs carrying
-  // the same fingerprint can ride along with zero re-resolution.
-  std::vector<Job *> Followers = claimBatch(J, Fp, Plan);
-
   {
     std::lock_guard<std::mutex> Lock(JobsMutex);
     J.State = JobState::Executing;
@@ -730,101 +721,6 @@ void StencilService::process(Job &J) {
   JobsChanged.notify_all();
 
   execute(J, *Plan);
-
-  // Claimed followers run back-to-back on this worker: same immutable
-  // plan object, no front end, no cache traffic — the batch is the warm
-  // path with even the lookups amortized away. Each follower keeps its
-  // own trace context, deadline, retry ladder, and ledger entry.
-  for (Job *F : Followers) {
-    obs::ScopedTraceContext FollowerScope(F->Request.TraceId,
-                                          F->Request.ParentSpan);
-    CMCC_SPAN("service.job");
-    if (pastDeadline(*F)) {
-      finish(*F, JobState::Failed);
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(JobsMutex);
-      F->State = JobState::Executing;
-    }
-    JobsChanged.notify_all();
-    execute(*F, *Plan);
-  }
-}
-
-std::vector<StencilService::Job *>
-StencilService::claimBatch(Job &Leader, uint64_t Fp,
-                           std::shared_ptr<const CompiledStencil> Plan) {
-  std::vector<Job *> Claimed;
-  if (Opts.BatchWindowMs <= 0)
-    return Claimed;
-  CMCC_SPAN("service.batch_claim");
-
-  // The fingerprint of a queued job, when knowable without front-end
-  // work: explicit-fingerprint jobs carry it, source jobs are matched
-  // through the memo (MemoMutex is a leaf lock, safe under JobsMutex).
-  auto QueuedFp = [&](const Job &Q) -> std::optional<uint64_t> {
-    if (Q.Request.Kind == SourceKind::Fingerprint)
-      return Q.Request.Fingerprint;
-    std::lock_guard<std::mutex> MemoLock(MemoMutex);
-    auto It = SourceMemo.find(memoKey(Q.Request.Kind, Q.Request.Source));
-    if (It != SourceMemo.end())
-      return It->second.Fingerprint;
-    return std::nullopt;
-  };
-
-  const auto Deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(Opts.BatchWindowMs);
-  std::unique_lock<std::mutex> Lock(JobsMutex);
-  // Wait out the window for a same-plan job to arrive (Nagle-style:
-  // the leader trades a bounded slice of its own latency for the
-  // group's amortization). Shutdown wakes the wait; claiming during
-  // shutdown is fine — workers drain every admitted job regardless.
-  JobsChanged.wait_until(Lock, Deadline, [&] {
-    if (ShuttingDown)
-      return true;
-    for (const Job *Q : Queue)
-      if (std::optional<uint64_t> QF = QueuedFp(*Q); QF && *QF == Fp)
-        return true;
-    return false;
-  });
-
-  for (auto It = Queue.begin(); It != Queue.end();) {
-    Job *Q = *It;
-    const bool ViaMemo = Q->Request.Kind != SourceKind::Fingerprint;
-    std::optional<uint64_t> QF = QueuedFp(*Q);
-    if (!QF || *QF != Fp) {
-      ++It;
-      continue;
-    }
-    It = Queue.erase(It);
-    QueueDepth.add(-1);
-    --tenantEntry(Q->Request.Tenant).Queued;
-    Q->State = JobState::Compiling;
-    note(*Q, JobEvent::Dequeued);
-    note(*Q, JobEvent::Batched);
-    // Stamp the accounting a solo warm run of this job would have
-    // produced — its source would resolve through the memo and its
-    // plan through the cache — so grouped and ungrouped ledgers match.
-    if (ViaMemo)
-      SourceMemoHits.add(1);
-    Q->Result.CacheHit = true;
-    note(*Q, JobEvent::CacheHit);
-    Q->Result.Fingerprint = Fp;
-    Q->Result.Plan = Plan;
-    Q->Result.Batched = true;
-    BatchedJobs.add(1);
-    Claimed.push_back(Q);
-  }
-  if (!Claimed.empty()) {
-    Batches.add(1);
-    // The leader's timeline records the group size it amortized for.
-    note(Leader, JobEvent::Batched, static_cast<int32_t>(Claimed.size()));
-  }
-  Lock.unlock();
-  // The erases made room at the cap: wake blocked producers.
-  JobsChanged.notify_all();
-  return Claimed;
 }
 
 int StencilService::effectiveTimeTile(Job &J, const CompiledStencil &Plan) {
@@ -1017,8 +913,6 @@ ServiceStats StencilService::stats() const {
   S.DeadlineExceeded = DeadlinesExceeded.value();
   S.Retries = Retries.value();
   S.Fallbacks = Fallbacks.value();
-  S.Batches = Batches.value();
-  S.BatchedJobs = BatchedJobs.value();
   {
     Autotuner::Counters TC = Tuner->counters();
     S.TuneHits = TC.Hits;

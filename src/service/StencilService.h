@@ -156,10 +156,6 @@ public:
     /// The job ran on the cm2 fallback backend after its primary
     /// backend kept failing transiently.
     bool FellBack = false;
-    /// The job was claimed out of the queue by a batch leader with the
-    /// same plan fingerprint and executed back-to-back with it, with no
-    /// plan re-resolution of its own (leaders themselves stay false).
-    bool Batched = false;
     /// The time-tile depth the job actually executed with (after the
     /// service default / autotuner / clamping resolved).
     int TimeTileUsed = 1;
@@ -190,7 +186,6 @@ public:
     SlowJob,          ///< Total latency exceeded Options::SlowJobMs.
     Done,             ///< Finished successfully.
     Failed,           ///< Finished unsuccessfully.
-    Batched,          ///< Claimed by a same-fingerprint batch leader.
     Autotuned,        ///< Tuned depth resolved (Detail: the depth).
   };
 
@@ -304,13 +299,6 @@ public:
     /// Finished-job timelines retained for the `timeline` query, and
     /// delivered jobs kept in the job table for repeat wait() calls.
     size_t TimelineRingCap = 256;
-    /// Plan-batched dispatch (DESIGN.md §5k): after a worker resolves a
-    /// job's plan it waits up to this many milliseconds for queued jobs
-    /// carrying the *same* plan fingerprint (known without front-end
-    /// work: explicit-fingerprint jobs, or source texts already in the
-    /// memo), claims them, and runs the group back-to-back with zero
-    /// re-resolution. 0 disables batching (the classic one-job path).
-    long BatchWindowMs = 0;
     /// Default time-tile depth for jobs that do not set their own
     /// (JobRequest::TimeTile == 0): 1 = classic untiled execution,
     /// k > 1 = fixed depth k (clamped per plan/subgrid), 0 = consult
@@ -321,8 +309,6 @@ public:
     /// cache's disk directory (records live beside the plans they
     /// tune), so a disk-less cache means memory-only tuning.
     std::string TuneDir;
-    /// Candidate depths the autotuner sweeps (clamped per plan).
-    std::vector<int> TuneDepths = {1, 2, 4, 8};
   };
 
   StencilService(const MachineConfig &Config, Options Opts);
@@ -478,13 +464,6 @@ private:
   /// plan and subgrid. Called once per job, before the attempt loop, so
   /// retries and the fallback run the identical depth.
   int effectiveTimeTile(Job &J, const CompiledStencil &Plan);
-  /// Plan batching: waits up to Options::BatchWindowMs for queued jobs
-  /// whose fingerprint equals \p Fp (cheaply knowable: explicit
-  /// fingerprints or memoized sources), claims them off the queue with
-  /// full dequeue accounting, and returns them stamped Batched with
-  /// \p Plan attached. Returns an empty list when batching is off.
-  std::vector<Job *> claimBatch(Job &Leader, uint64_t Fp,
-                                std::shared_ptr<const CompiledStencil> Plan);
   void finish(Job &J, JobState Final);
   /// True (and counts + stamps the failure) when \p J is past its
   /// deadline; a cooperative cancellation point.
@@ -561,8 +540,6 @@ private:
   obs::Counter &Retries;           ///< service.retries (attempts past 1st)
   obs::Counter &Fallbacks;         ///< service.fallbacks (jobs, not attempts)
   obs::Counter &SlowJobs;          ///< service.slow_jobs (over SlowJobMs)
-  obs::Counter &Batches;           ///< service.batches (groups formed)
-  obs::Counter &BatchedJobs;       ///< service.batched_jobs (followers)
   obs::Gauge &QueueDepth;          ///< service.queue_depth (now + max)
   obs::Histogram &CompileUs;       ///< service.compile_us (per performed)
   obs::Histogram &ExecuteUs;       ///< service.execute_us (per completed)

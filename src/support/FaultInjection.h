@@ -51,8 +51,8 @@
 /// and every other site. The same seed replays the same fire pattern.
 ///
 /// Cost: when nothing is armed a probe is one relaxed atomic load and a
-/// branch (bench_service asserts the executor hot loop pays <1% for its
-/// probes); armed probes take a registry mutex, which only tests and
+/// branch (bench_obs asserts the probes a warm service job crosses cost
+/// it <1%); armed probes take a registry mutex, which only tests and
 /// fault drills ever pay.
 ///
 //===----------------------------------------------------------------------===//

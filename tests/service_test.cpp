@@ -21,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "backends/Registry.h"
 #include "core/PlanFingerprint.h"
 #include "core/ScheduleIO.h"
 #include "fortran/Parser.h"
@@ -508,30 +509,50 @@ TEST(StencilServiceTest, ConcurrentSameFingerprintCompilesExactlyOnce) {
 }
 
 TEST(StencilServiceTest, ConcurrentDistinctPatternsCompileOncePerPattern) {
+  // On every execution backend: concurrent rounds compile each pattern
+  // exactly once, and a warm round afterwards reaches neither the front
+  // end nor the compiler.
   MachineConfig M = machine();
-  StencilService::Options Opts;
-  Opts.Workers = 6;
-  StencilService Service(M, Opts);
-
   std::vector<PatternId> Patterns = allPatterns();
   constexpr int Rounds = 5;
-  std::vector<StencilService::JobId> Ids;
-  for (int Round = 0; Round != Rounds; ++Round)
-    for (PatternId Id : Patterns) {
-      StencilService::JobRequest Req;
-      Req.Kind = StencilService::SourceKind::FortranSubroutine;
-      Req.Source = patternFortranSource(Id);
-      Req.SubRows = 16;
-      Req.SubCols = 16;
-      Ids.push_back(Service.submit(Req));
-    }
-  for (StencilService::JobId Id : Ids)
-    ASSERT_TRUE(Service.wait(Id).Ok);
+  for (const char *Backend : {"cm2", "native", "njit"}) {
+    SCOPED_TRACE(Backend);
+    if (!isBackendAvailable(Backend))
+      continue; // njit without a host toolchain.
+    StencilService::Options Opts;
+    Opts.Workers = 6;
+    Opts.Backend = Backend;
+    StencilService Service(M, Opts);
 
-  ServiceStats S = Service.stats();
-  EXPECT_EQ(S.CompilesPerformed, static_cast<long>(Patterns.size()));
-  EXPECT_EQ(S.JobsCompleted,
-            static_cast<long>(Patterns.size()) * Rounds);
+    auto RunRounds = [&](int Count) {
+      std::vector<StencilService::JobId> Ids;
+      for (int Round = 0; Round != Count; ++Round)
+        for (PatternId Id : Patterns) {
+          StencilService::JobRequest Req;
+          Req.Kind = StencilService::SourceKind::FortranSubroutine;
+          Req.Source = patternFortranSource(Id);
+          Req.SubRows = 16;
+          Req.SubCols = 16;
+          Ids.push_back(Service.submit(Req));
+        }
+      for (StencilService::JobId Id : Ids) {
+        StencilService::JobResult R = Service.wait(Id);
+        EXPECT_TRUE(R.Ok) << R.Message;
+      }
+    };
+
+    RunRounds(Rounds);
+    ServiceStats S = Service.stats();
+    EXPECT_EQ(S.CompilesPerformed, static_cast<long>(Patterns.size()));
+    EXPECT_EQ(S.JobsCompleted,
+              static_cast<long>(Patterns.size()) * Rounds);
+
+    RunRounds(1);
+    ServiceStats Warm = Service.stats();
+    EXPECT_EQ(Warm.CompilesPerformed, S.CompilesPerformed);
+    EXPECT_EQ(Warm.FrontEndRuns, S.FrontEndRuns);
+    EXPECT_EQ(Warm.JobsFailed, 0);
+  }
 }
 
 TEST(StencilServiceTest, WaitOnUnknownJobIdReturnsBadJobId) {
@@ -592,115 +613,14 @@ TEST(StencilServiceTest, DeliveredJobsAgeOutOfTheJobTable) {
   EXPECT_EQ(Service.stats().JobsCompleted, 41);
 }
 
-//===----------------------------------------------------------------------===//
-// Plan batching (DESIGN.md §5k)
-//===----------------------------------------------------------------------===//
-
-TEST(StencilServiceTest, BatchedGroupMatchesUngroupedBitwise) {
-  // Differential: the identical workload through a batching service and
-  // a non-batching one. Grouped execution must change only the
-  // amortization counters — every per-job array is bitwise identical,
-  // every simulated cycle total matches, and the logical ledger
-  // (front-end runs, compiles, memo hits) is the same either way.
-  MachineConfig M = machine();
-  const int Sub = 12, N = 6;
-  StencilSpec Spec = makePattern(PatternId::Diamond13);
-  std::string Source = patternFortranSource(PatternId::Diamond13);
-
-  struct WorkloadOutcome {
-    std::vector<Array2D> Results;
-    std::vector<long> Cycles;
-    long BatchedFlags = 0;
-    ServiceStats Stats;
-  };
-  auto RunWorkload = [&](long WindowMs) {
-    WorkloadOutcome Out;
-    StencilService::Options Opts;
-    Opts.Workers = 1; // Serialize so queued jobs are claimable.
-    Opts.BatchWindowMs = WindowMs;
-    StencilService Service(M, Opts);
-    // Warm the memo and plan cache so every workload job is a pure
-    // execute — the batching path under test is the warm path.
-    {
-      StencilService::JobRequest Warm;
-      Warm.Kind = StencilService::SourceKind::FortranSubroutine;
-      Warm.Source = Source;
-      Warm.SubRows = Sub;
-      Warm.SubCols = Sub;
-      StencilService::JobResult R = Service.wait(Service.submit(Warm));
-      EXPECT_TRUE(R.Ok) << R.Message;
-    }
-    std::vector<std::unique_ptr<BoundArrays>> Arrays;
-    std::vector<StencilService::JobId> Ids;
-    for (int I = 0; I != N; ++I) {
-      Arrays.push_back(
-          std::make_unique<BoundArrays>(M, Spec, Sub, /*Seed=*/700 + I));
-      StencilService::JobRequest Req;
-      Req.Kind = StencilService::SourceKind::FortranSubroutine;
-      Req.Source = Source;
-      Req.Args = &Arrays.back()->Args;
-      Req.Iterations = 2;
-      Ids.push_back(Service.submit(Req));
-    }
-    for (int I = 0; I != N; ++I) {
-      StencilService::JobResult R = Service.wait(Ids[I]);
-      EXPECT_TRUE(R.Ok) << R.Message;
-      Out.Cycles.push_back(R.Report.Cycles.total());
-      Out.BatchedFlags += R.Batched ? 1 : 0;
-      Out.Results.push_back(Arrays[I]->Result->gather());
-    }
-    Out.Stats = Service.stats();
-    return Out;
-  };
-
-  WorkloadOutcome Solo = RunWorkload(/*WindowMs=*/0);
-  // Wide enough that the submission burst always lands inside the first
-  // leader's window, even on a loaded machine; the tail leader waits it
-  // out once, which bounds this test's runtime.
-  WorkloadOutcome Grouped = RunWorkload(/*WindowMs=*/750);
-
-  // Identical numerics and identical simulated timing, job for job.
-  for (int I = 0; I != N; ++I) {
-    EXPECT_EQ(
-        Array2D::maxAbsDifference(Solo.Results[I], Grouped.Results[I]), 0.0f)
-        << "job " << I;
-    EXPECT_EQ(Solo.Cycles[I], Grouped.Cycles[I]) << "job " << I;
-  }
-
-  // The logical ledger is window-invariant: one cold compile, every
-  // workload job resolved through the source memo whether it led a
-  // batch, followed one, or ran solo.
-  for (const ServiceStats *S : {&Solo.Stats, &Grouped.Stats}) {
-    EXPECT_EQ(S->FrontEndRuns, 1);
-    EXPECT_EQ(S->CompilesPerformed, 1);
-    EXPECT_EQ(S->SourceMemoHits, N);
-    EXPECT_EQ(S->JobsCompleted, N + 1);
-    EXPECT_EQ(S->JobsFailed, 0);
-  }
-
-  // Only the amortization counters differ. Window off: nothing batches.
-  EXPECT_EQ(Solo.Stats.Batches, 0);
-  EXPECT_EQ(Solo.Stats.BatchedJobs, 0);
-  EXPECT_EQ(Solo.BatchedFlags, 0);
-  // Window on: at least one group formed, the per-result Batched flags
-  // agree with the counter, and every follower skipped the plan cache
-  // entirely (leaders are the only cache lookups after the warm miss).
-  EXPECT_GE(Grouped.Stats.Batches, 1);
-  EXPECT_GE(Grouped.Stats.BatchedJobs, 1);
-  EXPECT_EQ(Grouped.BatchedFlags, Grouped.Stats.BatchedJobs);
-  EXPECT_LE(Grouped.Stats.Batches, Grouped.Stats.BatchedJobs);
-  EXPECT_EQ(Grouped.Stats.Cache.Hits, N - Grouped.Stats.BatchedJobs);
-}
-
-TEST(StencilServiceTest, BatchingNeverCrossesFingerprints) {
-  // Interleaved submissions of two distinct patterns under an armed
-  // batch window: groups may only form within one fingerprint, so every
-  // job must complete with the fingerprint of its own pattern and both
-  // patterns compile exactly once.
+TEST(StencilServiceTest, InterleavedFingerprintsResolveToTheirOwnPlans) {
+  // Interleaved warm submissions of two distinct patterns: the source
+  // memo and the plan cache are keyed per pattern, so every job must
+  // complete with the fingerprint of its own pattern and both patterns
+  // compile exactly once.
   MachineConfig M = machine();
   StencilService::Options Opts;
   Opts.Workers = 1;
-  Opts.BatchWindowMs = 25;
   StencilService Service(M, Opts);
 
   const char *SourceA = "R = C1*CSHIFT(X,1,-1) + C2*X";

@@ -700,6 +700,58 @@ TEST_F(TimeTileTest, AutotunerReplacesRecordsAtomically) {
         << E.path();
 }
 
+/// A wall-clock backend whose timeOnly reports a fixed per-depth cost
+/// (depth 1 cheapest per timestep) and records it into the process-wide
+/// backend.native.run_host_us histogram the way a real run does. While
+/// depth 1 is being probed it also records one large sample there, the
+/// way a job another worker runs at that moment would.
+class ScriptedWallClockBackend : public ExecutionBackend {
+public:
+  explicit ScriptedWallClockBackend(const MachineConfig &Config)
+      : Config(Config) {}
+  const char *name() const override { return "native"; }
+  bool reportsWallClock() const override { return true; }
+  const MachineConfig &machine() const override { return Config; }
+  Expected<TimingReport> runResolved(const CompiledStencil &,
+                                     const ResolvedStencilArguments &,
+                                     const RunOptions &) const override {
+    return makeError("scripted backend runs nothing");
+  }
+  Expected<TimingReport> timeOnly(const CompiledStencil &, int, int,
+                                  const RunOptions &Opts) const override {
+    obs::Histogram &RunHostUs =
+        obs::Registry::process().histogram("backend.native.run_host_us");
+    // 100 us per timestep at depth 1, 25 us more per step per extra
+    // fused step.
+    const int K = Opts.TimeTile;
+    const double RunUs = 100.0 * K * (1.0 + 0.25 * (K - 1));
+    RunHostUs.observe(RunUs);
+    if (K == 1)
+      RunHostUs.observe(1e6); // Someone else's job, finishing meanwhile.
+    TimingReport Report;
+    Report.HostSecondsPerIteration = RunUs * 1e-6;
+    return Report;
+  }
+
+private:
+  MachineConfig Config;
+};
+
+TEST_F(TimeTileTest, AutotunerScoresEachDepthFromItsOwnRun) {
+  // Scores come from each probe's own report: a concurrent job landing
+  // in the process-wide run histogram during the depth-1 probe must not
+  // make depth 1 look slow.
+  MachineConfig Config = MachineConfig::withNodeGrid(2, 2);
+  CompiledStencil Compiled =
+      compileSpec(Config, makePattern(PatternId::Cross5));
+  ScriptedWallClockBackend B(Config);
+  Autotuner Tuner(Config, Autotuner::Options{});
+  Autotuner::TunedParams P = Tuner.tune(0x5c0e5c0e5c0e0001ull, B, Compiled,
+                                        16, 16);
+  EXPECT_EQ(P.TimeTile, 1);
+  EXPECT_DOUBLE_EQ(P.ScoreUs, 100.0);
+}
+
 TEST_F(TimeTileTest, ServiceAutotunesOncePerFingerprint) {
   // Options.TimeTile = 0 hands the choice to the autotuner: the first
   // job of a fingerprint sweeps (counted), every later job reuses the

@@ -75,10 +75,6 @@
 ///                          (clamped per plan), auto = the autotuner
 ///                          sweeps once per (fingerprint, machine) and
 ///                          persists the winner beside the plan cache
-///   --batch-window-ms=N    hold a resolved plan up to N ms to claim
-///                          queued jobs with the same fingerprint and
-///                          run them back-to-back with zero
-///                          re-resolution (default 0 = off)
 ///   --slow-ms=N            jobs slower than N ms are flagged slow:
 ///                          counted, flight-recorded, and (when tracing)
 ///                          the trace file is flushed at their finish
@@ -151,7 +147,6 @@ struct ServeOptions {
   /// Time-tile depth jobs run with: 1 = classic, k > 1 fixed, 0 = the
   /// autotuner picks per (fingerprint, machine).
   int TimeTile = 1;
-  long BatchWindowMs = 0;
   std::string FlightDumpPath;
   std::vector<net::Endpoint> Listen;
   int MaxConnections = 256;
@@ -175,7 +170,7 @@ void printUsage() {
                "         --queue-cap=N --admission=block|reject\n"
                "         --deadline-ms=N --max-retries=N\n"
                "         --faults=SPEC --fault-seed=N\n"
-               "         --time-tile=auto|N --batch-window-ms=N\n"
+               "         --time-tile=auto|N\n"
                "         --slow-ms=N --flight-dump=PATH\n"
                "         --json --metrics-json <file> --trace <file> --quiet\n"
                "manifest lines:\n"
@@ -344,13 +339,6 @@ bool parseArguments(int Argc, char **Argv, ServeOptions &Opts) {
                        V);
           return false;
         }
-      }
-    } else if (const char *V = Value("--batch-window-ms=")) {
-      Opts.BatchWindowMs = std::atol(V);
-      if (Opts.BatchWindowMs < 0) {
-        std::fprintf(stderr, "cmcc_serve: bad --batch-window-ms value '%s'\n",
-                     V);
-        return false;
       }
     } else if (const char *V = Value("--flight-dump=")) {
       Opts.FlightDumpPath = V;
@@ -598,7 +586,6 @@ int main(int Argc, char **Argv) {
   ServiceOpts.MaxRetries = Opts.MaxRetries;
   ServiceOpts.SlowJobMs = Opts.SlowJobMs;
   ServiceOpts.TimeTile = Opts.TimeTile;
-  ServiceOpts.BatchWindowMs = Opts.BatchWindowMs;
   ServiceOpts.TenantQuotas = Opts.TenantQuotas;
   StencilService Service(Opts.Machine, ServiceOpts);
 
@@ -678,8 +665,6 @@ int main(int Argc, char **Argv) {
       std::string Recovery;
       if (R.TimeTileUsed > 1)
         Recovery += "  tile " + std::to_string(R.TimeTileUsed);
-      if (R.Batched)
-        Recovery += "  batched";
       if (R.Retries)
         Recovery += "  retries " + std::to_string(R.Retries);
       if (R.FellBack)
