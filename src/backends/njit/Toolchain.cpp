@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backends/njit/Toolchain.h"
+#include "support/Fnv1a.h"
 #include <cstdio>
 #include <cstdlib>
 #include <sys/stat.h>
@@ -20,14 +21,6 @@ using namespace cmcc;
 using namespace cmcc::njit;
 
 namespace {
-
-uint64_t fnv1a(uint64_t H, const std::string &Text) {
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 /// Stat-based executable check (no exec).
 bool isExecutableFile(const std::string &Path, struct stat *St) {
@@ -134,13 +127,11 @@ uint64_t cmcc::njit::toolchainIdentity(const std::string &Compiler,
   // Replacing the compiler binary (new mtime/size), changing the
   // flags/emitter, or moving the cache to another CPU re-namespaces
   // every artifact; nothing stale can be dlopen'd by accident.
-  uint64_t H = 1469598103934665603ull;
-  H = fnv1a(H, Compiler);
-  H = fnv1a(H, std::to_string(Size));
-  H = fnv1a(H, std::to_string(Mtime));
-  H = fnv1a(H, CompileFlags);
-  H = fnv1a(H, std::to_string(EmitterVersion));
-  H = fnv1a(H, IsaStamp);
+  uint64_t H = Fnv1aNameBasis;
+  for (const std::string &Part :
+       {Compiler, std::to_string(Size), std::to_string(Mtime),
+        std::string(CompileFlags), std::to_string(EmitterVersion), IsaStamp})
+    H = fnv1a(Part.data(), Part.size(), H);
   return H;
 }
 

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PlanFingerprint.h"
+#include "support/Fnv1a.h"
 #include <cstdio>
 #include <cstring>
 
@@ -87,12 +88,7 @@ uint64_t cmcc::planFingerprint(const StencilSpec &Spec,
                                const MachineConfig &Config,
                                std::string_view Backend) {
   const std::string Text = planFingerprintText(Spec, Config, Backend);
-  uint64_t H = 1469598103934665603ull; // FNV offset basis
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull; // FNV prime
-  }
-  return H;
+  return fnv1a(Text.data(), Text.size(), Fnv1aNameBasis);
 }
 
 std::string cmcc::fingerprintHex(uint64_t Fingerprint) {

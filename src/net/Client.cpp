@@ -20,12 +20,6 @@ using namespace cmcc::net;
 
 namespace {
 
-/// Decodes a response's payload at the version its frame header names.
-template <typename DecodeFn>
-auto decodeReply(const Client::RawResponse &R, DecodeFn Decode) {
-  return Decode(R.Payload.data(), R.Payload.size(), R.Header.Version);
-}
-
 /// read(2) until exactly \p Len bytes arrived; EOF mid-message fails.
 Error readFull(int Fd, uint8_t *Data, size_t Len) {
   size_t Done = 0;
@@ -129,7 +123,8 @@ Client::roundTrip(MsgType Type, uint64_t RequestId,
     if (R->Header.RequestId != RequestId)
       continue;
     if (R->Header.Type == MsgType::ErrorResponse) {
-      Expected<ErrorResponse> E = decodeReply(*R, decodeErrorResponse);
+      Expected<ErrorResponse> E =
+          decodeErrorResponse(R->Payload.data(), R->Payload.size());
       return Error::failure(E ? "server error: " + E->Message
                      : "server error (undecodable ErrorResponse)");
     }
@@ -147,7 +142,7 @@ Expected<HelloResponse> Client::hello(const std::string &ClientName) {
                                       encode(M), MsgType::HelloResponse);
   if (!R)
     return R.error();
-  return decodeReply(*R, decodeHelloResponse);
+  return decodeHelloResponse(R->Payload.data(), R->Payload.size());
 }
 
 Expected<SubmitResponse> Client::submit(const SubmitRequest &Req) {
@@ -155,7 +150,7 @@ Expected<SubmitResponse> Client::submit(const SubmitRequest &Req) {
                                       encode(Req), MsgType::SubmitResponse);
   if (!R)
     return R.error();
-  return decodeReply(*R, decodeSubmitResponse);
+  return decodeSubmitResponse(R->Payload.data(), R->Payload.size());
 }
 
 Expected<PollResponse> Client::poll(int64_t JobId) {
@@ -165,7 +160,7 @@ Expected<PollResponse> Client::poll(int64_t JobId) {
                                       encode(M), MsgType::PollResponse);
   if (!R)
     return R.error();
-  return decodeReply(*R, decodePollResponse);
+  return decodePollResponse(R->Payload.data(), R->Payload.size());
 }
 
 Expected<WaitResponse> Client::wait(int64_t JobId) {
@@ -175,7 +170,7 @@ Expected<WaitResponse> Client::wait(int64_t JobId) {
                                       encode(M), MsgType::WaitResponse);
   if (!R)
     return R.error();
-  return decodeReply(*R, decodeWaitResponse);
+  return decodeWaitResponse(R->Payload.data(), R->Payload.size());
 }
 
 Expected<CancelResponse> Client::cancel(int64_t JobId) {
@@ -185,7 +180,7 @@ Expected<CancelResponse> Client::cancel(int64_t JobId) {
                                       encode(M), MsgType::CancelResponse);
   if (!R)
     return R.error();
-  return decodeReply(*R, decodeCancelResponse);
+  return decodeCancelResponse(R->Payload.data(), R->Payload.size());
 }
 
 Expected<StatsResponse> Client::stats() {
@@ -194,7 +189,7 @@ Expected<StatsResponse> Client::stats() {
                 MsgType::StatsResponse);
   if (!R)
     return R.error();
-  return decodeReply(*R, decodeStatsResponse);
+  return decodeStatsResponse(R->Payload.data(), R->Payload.size());
 }
 
 Expected<TimelineResponse> Client::timeline(int64_t JobId) {
@@ -205,7 +200,7 @@ Expected<TimelineResponse> Client::timeline(int64_t JobId) {
                                       MsgType::TimelineResponse);
   if (!R)
     return R.error();
-  return decodeReply(*R, decodeTimelineResponse);
+  return decodeTimelineResponse(R->Payload.data(), R->Payload.size());
 }
 
 Expected<DumpResponse> Client::dump() {
@@ -214,5 +209,5 @@ Expected<DumpResponse> Client::dump() {
                 MsgType::DumpResponse);
   if (!R)
     return R.error();
-  return decodeReply(*R, decodeDumpResponse);
+  return decodeDumpResponse(R->Payload.data(), R->Payload.size());
 }

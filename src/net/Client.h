@@ -58,9 +58,9 @@ public:
   Expected<WaitResponse> wait(int64_t JobId);
   Expected<CancelResponse> cancel(int64_t JobId);
   Expected<StatsResponse> stats();
-  /// Per-job event timeline of a recently finished job (version 2).
+  /// Per-job event timeline of a recently finished job.
   Expected<TimelineResponse> timeline(int64_t JobId);
-  /// The server's flight-recorder JSON (version 2).
+  /// The server's flight-recorder JSON.
   Expected<DumpResponse> dump();
 
   //===--- Pipelining primitives ------------------------------------------===//

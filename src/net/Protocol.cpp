@@ -55,8 +55,9 @@ void WaitResponse::setReport(const TimingReport &R) {
 namespace {
 
 /// Bytes encodeGrid() appends for \p G.
-size_t gridBytes(const ByteWriter &W, const GridPayload &G) {
-  return ByteWriter::strBytes(G.Name) + 8 + W.floatsBytes(G.Data.size());
+size_t gridBytes(const GridPayload &G) {
+  return ByteWriter::strBytes(G.Name) + 8 +
+         ByteWriter::floatsBytes(G.Data.size());
 }
 
 /// Shared tail of every decode: the payload must parse and be consumed
@@ -72,22 +73,22 @@ Expected<T> finish(ByteReader &R, T &&M, const char *What) {
 
 //===--- Hello ------------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const HelloRequest &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const HelloRequest &M) {
+  ByteWriter W;
   W.str(M.ClientName);
   return W.take();
 }
 
-Expected<HelloRequest> net::decodeHelloRequest(const uint8_t *Data, size_t Len,
-                                               uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+Expected<HelloRequest> net::decodeHelloRequest(const uint8_t *Data,
+                                               size_t Len) {
+  ByteReader R(Data, Len);
   HelloRequest M;
   R.str(M.ClientName);
   return finish(R, std::move(M), "HelloRequest");
 }
 
-std::vector<uint8_t> net::encode(const HelloResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const HelloResponse &M) {
+  ByteWriter W;
   W.u16(M.Version);
   W.str(M.Banner);
   W.str(M.Machine);
@@ -95,9 +96,8 @@ std::vector<uint8_t> net::encode(const HelloResponse &M, uint16_t Version) {
 }
 
 Expected<HelloResponse> net::decodeHelloResponse(const uint8_t *Data,
-                                                 size_t Len,
-                                                 uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                 size_t Len) {
+  ByteReader R(Data, Len);
   HelloResponse M;
   R.u16(M.Version);
   R.str(M.Banner);
@@ -107,14 +107,14 @@ Expected<HelloResponse> net::decodeHelloResponse(const uint8_t *Data,
 
 //===--- Submit -----------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const SubmitRequest &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const SubmitRequest &M) {
+  ByteWriter W;
   // Field sizes in the order written below, so the grids append to a
   // buffer that never reallocates.
   size_t Bytes = 1 + ByteWriter::strBytes(M.Source) + 8 + 3 * 4 +
                  ByteWriter::strBytes(M.ResultName) + 4 + 2 * 8;
   for (const SubmitRequest::BoundGrid &B : M.Grids)
-    Bytes += 1 + gridBytes(W, B.Grid);
+    Bytes += 1 + gridBytes(B.Grid);
   W.reserve(Bytes);
   W.u8(M.Kind);
   W.str(M.Source);
@@ -128,18 +128,14 @@ std::vector<uint8_t> net::encode(const SubmitRequest &M, uint16_t Version) {
     W.u8(static_cast<uint8_t>(B.Kind));
     encodeGrid(W, B.Grid);
   }
-  // The version-2 trace context; a version-1 payload ends at the grids.
-  if (Version >= 2) {
-    W.u64(M.TraceId);
-    W.u64(M.ParentSpan);
-  }
+  W.u64(M.TraceId);
+  W.u64(M.ParentSpan);
   return W.take();
 }
 
 Expected<SubmitRequest> net::decodeSubmitRequest(const uint8_t *Data,
-                                                 size_t Len,
-                                                 uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                 size_t Len) {
+  ByteReader R(Data, Len);
   SubmitRequest M;
   uint32_t NGrids = 0;
   bool Ok = R.u8(M.Kind) && R.str(M.Source) && R.u64(M.Fingerprint) &&
@@ -157,23 +153,20 @@ Expected<SubmitRequest> net::decodeSubmitRequest(const uint8_t *Data,
     B.Kind = static_cast<SubmitRequest::Role>(Role);
     M.Grids.push_back(std::move(B));
   }
-  // A version-1 payload ends here; version 2 appends the trace context.
-  // Either form decodes at any version.
-  if (R.remaining() != 0 && (!R.u64(M.TraceId) || !R.u64(M.ParentSpan)))
-    return Error::failure("malformed SubmitRequest payload");
+  R.u64(M.TraceId);
+  R.u64(M.ParentSpan);
   return finish(R, std::move(M), "SubmitRequest");
 }
 
-std::vector<uint8_t> net::encode(const SubmitResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const SubmitResponse &M) {
+  ByteWriter W;
   W.i64(M.JobId);
   return W.take();
 }
 
 Expected<SubmitResponse> net::decodeSubmitResponse(const uint8_t *Data,
-                                                   size_t Len,
-                                                   uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                   size_t Len) {
+  ByteReader R(Data, Len);
   SubmitResponse M;
   R.i64(M.JobId);
   return finish(R, std::move(M), "SubmitResponse");
@@ -181,29 +174,28 @@ Expected<SubmitResponse> net::decodeSubmitResponse(const uint8_t *Data,
 
 //===--- Poll -------------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const PollRequest &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const PollRequest &M) {
+  ByteWriter W;
   W.i64(M.JobId);
   return W.take();
 }
 
-Expected<PollRequest> net::decodePollRequest(const uint8_t *Data, size_t Len,
-                                             uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+Expected<PollRequest> net::decodePollRequest(const uint8_t *Data, size_t Len) {
+  ByteReader R(Data, Len);
   PollRequest M;
   R.i64(M.JobId);
   return finish(R, std::move(M), "PollRequest");
 }
 
-std::vector<uint8_t> net::encode(const PollResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const PollResponse &M) {
+  ByteWriter W;
   W.u8(M.State);
   return W.take();
 }
 
-Expected<PollResponse> net::decodePollResponse(const uint8_t *Data, size_t Len,
-                                               uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+Expected<PollResponse> net::decodePollResponse(const uint8_t *Data,
+                                               size_t Len) {
+  ByteReader R(Data, Len);
   PollResponse M;
   R.u8(M.State);
   return finish(R, std::move(M), "PollResponse");
@@ -211,26 +203,25 @@ Expected<PollResponse> net::decodePollResponse(const uint8_t *Data, size_t Len,
 
 //===--- Wait -------------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const WaitRequest &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const WaitRequest &M) {
+  ByteWriter W;
   W.i64(M.JobId);
   return W.take();
 }
 
-Expected<WaitRequest> net::decodeWaitRequest(const uint8_t *Data, size_t Len,
-                                             uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+Expected<WaitRequest> net::decodeWaitRequest(const uint8_t *Data, size_t Len) {
+  ByteReader R(Data, Len);
   WaitRequest M;
   R.i64(M.JobId);
   return finish(R, std::move(M), "WaitRequest");
 }
 
-std::vector<uint8_t> net::encode(const WaitResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const WaitResponse &M) {
+  ByteWriter W;
   // Field sizes in the order written below (see encode(SubmitRequest)).
   W.reserve(2 + ByteWriter::strBytes(M.Message) + 8 + 2 + 2 * 8 + 4 + 1 +
             7 * 8 + 8 + 4 + 8 + 1 +
-            (M.HasResult ? gridBytes(W, M.Result) : 0));
+            (M.HasResult ? gridBytes(M.Result) : 0));
   W.u8(M.Ok);
   W.u8(M.Status);
   W.str(M.Message);
@@ -257,9 +248,9 @@ std::vector<uint8_t> net::encode(const WaitResponse &M, uint16_t Version) {
   return W.take();
 }
 
-Expected<WaitResponse> net::decodeWaitResponse(const uint8_t *Data, size_t Len,
-                                               uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+Expected<WaitResponse> net::decodeWaitResponse(const uint8_t *Data,
+                                               size_t Len) {
+  ByteReader R(Data, Len);
   WaitResponse M;
   bool Ok = R.u8(M.Ok) && R.u8(M.Status) && R.str(M.Message) &&
             R.u64(M.Fingerprint) && R.u8(M.CacheHit) && R.u8(M.Coalesced) &&
@@ -277,31 +268,29 @@ Expected<WaitResponse> net::decodeWaitResponse(const uint8_t *Data, size_t Len,
 
 //===--- Cancel -----------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const CancelRequest &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const CancelRequest &M) {
+  ByteWriter W;
   W.i64(M.JobId);
   return W.take();
 }
 
 Expected<CancelRequest> net::decodeCancelRequest(const uint8_t *Data,
-                                                 size_t Len,
-                                                 uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                 size_t Len) {
+  ByteReader R(Data, Len);
   CancelRequest M;
   R.i64(M.JobId);
   return finish(R, std::move(M), "CancelRequest");
 }
 
-std::vector<uint8_t> net::encode(const CancelResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const CancelResponse &M) {
+  ByteWriter W;
   W.u8(M.Cancelled);
   return W.take();
 }
 
 Expected<CancelResponse> net::decodeCancelResponse(const uint8_t *Data,
-                                                   size_t Len,
-                                                   uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                   size_t Len) {
+  ByteReader R(Data, Len);
   CancelResponse M;
   R.u8(M.Cancelled);
   return finish(R, std::move(M), "CancelResponse");
@@ -309,66 +298,60 @@ Expected<CancelResponse> net::decodeCancelResponse(const uint8_t *Data,
 
 //===--- Stats ------------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const StatsRequest &, uint16_t) { return {}; }
+std::vector<uint8_t> net::encode(const StatsRequest &) { return {}; }
 
-Expected<StatsRequest> net::decodeStatsRequest(const uint8_t *Data, size_t Len,
-                                               uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+Expected<StatsRequest> net::decodeStatsRequest(const uint8_t *Data,
+                                               size_t Len) {
+  ByteReader R(Data, Len);
   return finish(R, StatsRequest{}, "StatsRequest");
 }
 
-std::vector<uint8_t> net::encode(const StatsResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const StatsResponse &M) {
+  ByteWriter W;
   W.str(M.Json);
   W.str(M.Table);
-  if (Version >= 2) {
-    W.str(M.NetJson);
-    W.str(M.NetTable);
-  }
+  W.str(M.NetJson);
+  W.str(M.NetTable);
   return W.take();
 }
 
 Expected<StatsResponse> net::decodeStatsResponse(const uint8_t *Data,
-                                                 size_t Len,
-                                                 uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                 size_t Len) {
+  ByteReader R(Data, Len);
   StatsResponse M;
   R.str(M.Json);
   R.str(M.Table);
-  // A version-1 response ends here; version 2 appends the net metrics.
-  if (R.remaining() != 0 && (!R.str(M.NetJson) || !R.str(M.NetTable)))
-    return Error::failure("malformed StatsResponse payload");
+  R.str(M.NetJson);
+  R.str(M.NetTable);
   return finish(R, std::move(M), "StatsResponse");
 }
 
 //===--- Timeline ---------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const TimelineRequest &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const TimelineRequest &M) {
+  ByteWriter W;
   W.i64(M.JobId);
   return W.take();
 }
 
 Expected<TimelineRequest> net::decodeTimelineRequest(const uint8_t *Data,
-                                                     size_t Len,
-                                                     uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                     size_t Len) {
+  ByteReader R(Data, Len);
   TimelineRequest M;
   R.i64(M.JobId);
   return finish(R, std::move(M), "TimelineRequest");
 }
 
-std::vector<uint8_t> net::encode(const TimelineResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const TimelineResponse &M) {
+  ByteWriter W;
   W.u8(M.Found);
   W.str(M.Json);
   return W.take();
 }
 
 Expected<TimelineResponse> net::decodeTimelineResponse(const uint8_t *Data,
-                                                       size_t Len,
-                                                       uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                       size_t Len) {
+  ByteReader R(Data, Len);
   TimelineResponse M;
   R.u8(M.Found);
   R.str(M.Json);
@@ -377,23 +360,22 @@ Expected<TimelineResponse> net::decodeTimelineResponse(const uint8_t *Data,
 
 //===--- Dump -------------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const DumpRequest &, uint16_t) { return {}; }
+std::vector<uint8_t> net::encode(const DumpRequest &) { return {}; }
 
-Expected<DumpRequest> net::decodeDumpRequest(const uint8_t *Data, size_t Len,
-                                             uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+Expected<DumpRequest> net::decodeDumpRequest(const uint8_t *Data, size_t Len) {
+  ByteReader R(Data, Len);
   return finish(R, DumpRequest{}, "DumpRequest");
 }
 
-std::vector<uint8_t> net::encode(const DumpResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const DumpResponse &M) {
+  ByteWriter W;
   W.str(M.Json);
   return W.take();
 }
 
-Expected<DumpResponse> net::decodeDumpResponse(const uint8_t *Data, size_t Len,
-                                               uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+Expected<DumpResponse> net::decodeDumpResponse(const uint8_t *Data,
+                                               size_t Len) {
+  ByteReader R(Data, Len);
   DumpResponse M;
   // A full flight-recorder ring serializes to a few hundred KiB; allow
   // well past that while staying under the frame cap.
@@ -403,17 +385,16 @@ Expected<DumpResponse> net::decodeDumpResponse(const uint8_t *Data, size_t Len,
 
 //===--- Error ------------------------------------------------------------===//
 
-std::vector<uint8_t> net::encode(const ErrorResponse &M, uint16_t Version) {
-  ByteWriter W(Version);
+std::vector<uint8_t> net::encode(const ErrorResponse &M) {
+  ByteWriter W;
   W.u16(M.Code);
   W.str(M.Message);
   return W.take();
 }
 
 Expected<ErrorResponse> net::decodeErrorResponse(const uint8_t *Data,
-                                                 size_t Len,
-                                                 uint16_t Version) {
-  ByteReader R(Data, Len, Version);
+                                                 size_t Len) {
+  ByteReader R(Data, Len);
   ErrorResponse M;
   R.u16(M.Code);
   R.str(M.Message);

@@ -41,7 +41,7 @@ struct GridPayload {
   std::vector<float> Data; ///< Row-major, Rows*Cols elements.
 };
 
-/// The grid codec, at the writer's or reader's version.
+/// The grid codec.
 void encodeGrid(ByteWriter &W, const GridPayload &G);
 bool decodeGrid(ByteReader &R, GridPayload &G);
 
@@ -81,9 +81,8 @@ struct SubmitRequest {
     GridPayload Grid;
   };
   std::vector<BoundGrid> Grids;
-  /// Version 2: client-minted trace context, appended after the grids
-  /// so a version-1 payload (which simply ends there) still decodes.
-  /// Zero means "not traced".
+  /// Client-minted trace context, after the grids. Zero means "not
+  /// traced".
   uint64_t TraceId = 0;
   uint64_t ParentSpan = 0;
 };
@@ -159,9 +158,8 @@ struct StatsRequest {};
 struct StatsResponse {
   std::string Json;  ///< ServiceStats::json().
   std::string Table; ///< ServiceStats::str().
-  /// Version 2: the server's net.* wire metrics (request latency and
-  /// frame-size histograms), appended so a version-1 response still
-  /// decodes. Empty when the peer predates them.
+  /// The server's net.* wire metrics (request latency and frame-size
+  /// histograms).
   std::string NetJson;  ///< Registry::json("net.").
   std::string NetTable; ///< Registry::table("net.").
 };
@@ -206,99 +204,47 @@ constexpr uint16_t ErrDraining = 2;
 constexpr uint16_t ErrInternal = 3;
 
 //===--- Codecs -----------------------------------------------------------===//
-// encode() returns the frame *payload* at \p Version (the version its
-// frame header will carry); each decode accepts raw payload bytes of the
-// version its frame header named and fails cleanly on anything
-// malformed, truncated, or trailing-garbage. Version 1 payloads leave
-// out the version-2 tails (SubmitRequest's trace context,
-// StatsResponse's net metrics); decoders accept them with or without.
+// encode() returns the frame *payload*; each decode accepts raw payload
+// bytes and fails cleanly on anything malformed, truncated, or
+// trailing-garbage.
 
-std::vector<uint8_t> encode(const HelloRequest &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const HelloResponse &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const SubmitRequest &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const SubmitResponse &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const PollRequest &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const PollResponse &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const WaitRequest &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const WaitResponse &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const CancelRequest &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const CancelResponse &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const StatsRequest &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const StatsResponse &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const ErrorResponse &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const TimelineRequest &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const TimelineResponse &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const DumpRequest &M,
-                            uint16_t Version = ProtocolVersion);
-std::vector<uint8_t> encode(const DumpResponse &M,
-                            uint16_t Version = ProtocolVersion);
+std::vector<uint8_t> encode(const HelloRequest &M);
+std::vector<uint8_t> encode(const HelloResponse &M);
+std::vector<uint8_t> encode(const SubmitRequest &M);
+std::vector<uint8_t> encode(const SubmitResponse &M);
+std::vector<uint8_t> encode(const PollRequest &M);
+std::vector<uint8_t> encode(const PollResponse &M);
+std::vector<uint8_t> encode(const WaitRequest &M);
+std::vector<uint8_t> encode(const WaitResponse &M);
+std::vector<uint8_t> encode(const CancelRequest &M);
+std::vector<uint8_t> encode(const CancelResponse &M);
+std::vector<uint8_t> encode(const StatsRequest &M);
+std::vector<uint8_t> encode(const StatsResponse &M);
+std::vector<uint8_t> encode(const ErrorResponse &M);
+std::vector<uint8_t> encode(const TimelineRequest &M);
+std::vector<uint8_t> encode(const TimelineResponse &M);
+std::vector<uint8_t> encode(const DumpRequest &M);
+std::vector<uint8_t> encode(const DumpResponse &M);
 
-Expected<HelloRequest>
-decodeHelloRequest(const uint8_t *Data, size_t Len,
-                   uint16_t Version = ProtocolVersion);
-Expected<HelloResponse>
-decodeHelloResponse(const uint8_t *Data, size_t Len,
-                    uint16_t Version = ProtocolVersion);
-Expected<SubmitRequest>
-decodeSubmitRequest(const uint8_t *Data, size_t Len,
-                    uint16_t Version = ProtocolVersion);
-Expected<SubmitResponse>
-decodeSubmitResponse(const uint8_t *Data, size_t Len,
-                     uint16_t Version = ProtocolVersion);
-Expected<PollRequest>
-decodePollRequest(const uint8_t *Data, size_t Len,
-                  uint16_t Version = ProtocolVersion);
-Expected<PollResponse>
-decodePollResponse(const uint8_t *Data, size_t Len,
-                   uint16_t Version = ProtocolVersion);
-Expected<WaitRequest>
-decodeWaitRequest(const uint8_t *Data, size_t Len,
-                  uint16_t Version = ProtocolVersion);
-Expected<WaitResponse>
-decodeWaitResponse(const uint8_t *Data, size_t Len,
-                   uint16_t Version = ProtocolVersion);
-Expected<CancelRequest>
-decodeCancelRequest(const uint8_t *Data, size_t Len,
-                    uint16_t Version = ProtocolVersion);
-Expected<CancelResponse>
-decodeCancelResponse(const uint8_t *Data, size_t Len,
-                     uint16_t Version = ProtocolVersion);
-Expected<StatsRequest>
-decodeStatsRequest(const uint8_t *Data, size_t Len,
-                   uint16_t Version = ProtocolVersion);
-Expected<StatsResponse>
-decodeStatsResponse(const uint8_t *Data, size_t Len,
-                    uint16_t Version = ProtocolVersion);
-Expected<ErrorResponse>
-decodeErrorResponse(const uint8_t *Data, size_t Len,
-                    uint16_t Version = ProtocolVersion);
+Expected<HelloRequest> decodeHelloRequest(const uint8_t *Data, size_t Len);
+Expected<HelloResponse> decodeHelloResponse(const uint8_t *Data, size_t Len);
+Expected<SubmitRequest> decodeSubmitRequest(const uint8_t *Data, size_t Len);
+Expected<SubmitResponse> decodeSubmitResponse(const uint8_t *Data, size_t Len);
+Expected<PollRequest> decodePollRequest(const uint8_t *Data, size_t Len);
+Expected<PollResponse> decodePollResponse(const uint8_t *Data, size_t Len);
+Expected<WaitRequest> decodeWaitRequest(const uint8_t *Data, size_t Len);
+Expected<WaitResponse> decodeWaitResponse(const uint8_t *Data, size_t Len);
+Expected<CancelRequest> decodeCancelRequest(const uint8_t *Data, size_t Len);
+Expected<CancelResponse> decodeCancelResponse(const uint8_t *Data, size_t Len);
+Expected<StatsRequest> decodeStatsRequest(const uint8_t *Data, size_t Len);
+Expected<StatsResponse> decodeStatsResponse(const uint8_t *Data, size_t Len);
+Expected<ErrorResponse> decodeErrorResponse(const uint8_t *Data, size_t Len);
 Expected<TimelineRequest>
-decodeTimelineRequest(const uint8_t *Data, size_t Len,
-                      uint16_t Version = ProtocolVersion);
+decodeTimelineRequest(const uint8_t *Data, size_t Len);
 Expected<TimelineResponse>
-decodeTimelineResponse(const uint8_t *Data, size_t Len,
-                       uint16_t Version = ProtocolVersion);
-Expected<DumpRequest>
-decodeDumpRequest(const uint8_t *Data, size_t Len,
-                  uint16_t Version = ProtocolVersion);
-Expected<DumpResponse>
-decodeDumpResponse(const uint8_t *Data, size_t Len,
-                   uint16_t Version = ProtocolVersion);
+decodeTimelineResponse(const uint8_t *Data, size_t Len);
+Expected<DumpRequest> decodeDumpRequest(const uint8_t *Data, size_t Len);
+Expected<DumpResponse> decodeDumpResponse(const uint8_t *Data, size_t Len);
 
 } // namespace net
 } // namespace cmcc

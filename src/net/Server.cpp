@@ -529,16 +529,14 @@ bool Server::parseFrames(Conn &C) {
     Expected<FrameHeader> H =
         decodeFrameHeader(C.In.data() + Pos, C.In.size() - Pos);
     if (!H) {
-      // Broken framing: there is no way to find the next frame
-      // boundary, so answer once and close. The frame's version cannot
-      // be trusted, so the answer goes out in the oldest one, which
-      // every supported peer reads.
+      // Broken framing (a frame of another protocol version included):
+      // there is no way to find the next frame boundary, so answer once
+      // and close.
       ++Stats.ProtocolErrors;
       ErrorResponse E;
       E.Code = ErrBadRequest;
       E.Message = H.error().message();
-      send(C, MsgType::ErrorResponse, 0, 0, MinProtocolVersion,
-           encode(E, MinProtocolVersion));
+      send(C, MsgType::ErrorResponse, 0, 0, encode(E));
       C.Closing = true;
       break;
     }
@@ -558,17 +556,17 @@ bool Server::parseFrames(Conn &C) {
 }
 
 void Server::send(Conn &C, MsgType Type, uint64_t RequestId, uint32_t Tenant,
-                  uint16_t Version, std::vector<uint8_t> Payload) {
+                  std::vector<uint8_t> Payload) {
   const uint32_t Bytes = static_cast<uint32_t>(Payload.size());
-  C.Out.push_back({frameHeader(Type, RequestId, Tenant, Bytes, Version),
-                   std::move(Payload)});
+  C.Out.push_back(
+      {frameHeader(Type, RequestId, Tenant, Bytes), std::move(Payload)});
   frameBytesOut().observe(static_cast<double>(FrameHeaderBytes + Bytes));
   ++Stats.FramesOut;
 }
 
 template <typename Msg>
 void Server::reply(Conn &C, const FrameHeader &H, MsgType Type, const Msg &M) {
-  send(C, Type, H.RequestId, H.Tenant, H.Version, encode(M, H.Version));
+  send(C, Type, H.RequestId, H.Tenant, encode(M));
 }
 
 void Server::sendError(Conn &C, const FrameHeader &H, uint16_t Code,
@@ -599,13 +597,9 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
     }
   } Timer{reqHistogram(H.Type), obs::detail::nowNs(),
           H.Type != MsgType::WaitRequest};
-  // Every request decodes at its own frame's version.
-  auto Decode = [&](auto DecodeFn) {
-    return DecodeFn(Payload, H.PayloadBytes, H.Version);
-  };
   switch (H.Type) {
   case MsgType::HelloRequest: {
-    Expected<HelloRequest> M = Decode(decodeHelloRequest);
+    Expected<HelloRequest> M = decodeHelloRequest(Payload, H.PayloadBytes);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     HelloResponse R;
@@ -617,7 +611,7 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
   case MsgType::SubmitRequest:
     return handleSubmit(C, H, Payload);
   case MsgType::PollRequest: {
-    Expected<PollRequest> M = Decode(decodePollRequest);
+    Expected<PollRequest> M = decodePollRequest(Payload, H.PayloadBytes);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     PollResponse R;
@@ -626,13 +620,13 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
     return;
   }
   case MsgType::WaitRequest: {
-    Expected<WaitRequest> M = Decode(decodeWaitRequest);
+    Expected<WaitRequest> M = decodeWaitRequest(Payload, H.PayloadBytes);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     return handleWait(C, H, *M);
   }
   case MsgType::CancelRequest: {
-    Expected<CancelRequest> M = Decode(decodeCancelRequest);
+    Expected<CancelRequest> M = decodeCancelRequest(Payload, H.PayloadBytes);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     CancelResponse R;
@@ -641,7 +635,7 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
     return;
   }
   case MsgType::StatsRequest: {
-    Expected<StatsRequest> M = Decode(decodeStatsRequest);
+    Expected<StatsRequest> M = decodeStatsRequest(Payload, H.PayloadBytes);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     const ServiceStats S = Service.stats();
@@ -654,7 +648,8 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
     return;
   }
   case MsgType::TimelineRequest: {
-    Expected<TimelineRequest> M = Decode(decodeTimelineRequest);
+    Expected<TimelineRequest> M =
+        decodeTimelineRequest(Payload, H.PayloadBytes);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     TimelineResponse R;
@@ -664,7 +659,7 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
     return;
   }
   case MsgType::DumpRequest: {
-    Expected<DumpRequest> M = Decode(decodeDumpRequest);
+    Expected<DumpRequest> M = decodeDumpRequest(Payload, H.PayloadBytes);
     if (!M)
       return sendError(C, H, ErrBadRequest, M.error().message());
     DumpResponse R;
@@ -686,8 +681,7 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
 
 void Server::handleSubmit(Conn &C, const FrameHeader &H,
                           const uint8_t *Payload) {
-  Expected<SubmitRequest> M =
-      decodeSubmitRequest(Payload, H.PayloadBytes, H.Version);
+  Expected<SubmitRequest> M = decodeSubmitRequest(Payload, H.PayloadBytes);
   if (!M)
     return sendError(C, H, ErrBadRequest, M.error().message());
   if (Draining.load(std::memory_order_acquire))
@@ -807,7 +801,7 @@ void Server::handleWait(Conn &C, const FrameHeader &H, const WaitRequest &M) {
   JobRec &J = It->second;
   if (J.Finished) {
     J.WaiterArrivedNs = obs::detail::nowNs();
-    deliverResult(C, J, H.RequestId, H.Version);
+    deliverResult(C, J, H.RequestId);
     Jobs.erase(It);
     return;
   }
@@ -818,12 +812,10 @@ void Server::handleWait(Conn &C, const FrameHeader &H, const WaitRequest &M) {
   J.HasWaiter = true;
   J.WaiterConn = C.Id;
   J.WaiterRequestId = H.RequestId;
-  J.WaiterVersion = H.Version;
   J.WaiterArrivedNs = obs::detail::nowNs();
 }
 
-void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId,
-                           uint16_t Version) {
+void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId) {
   // The job is finished, so this wait() returns without blocking.
   StencilService::JobResult Res = Service.wait(J.Id);
   WaitResponse R;
@@ -847,8 +839,7 @@ void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId,
     R.Result.Data.resize(static_cast<size_t>(R.Result.Rows) * R.Result.Cols);
     Out.gather(R.Result.Data.data());
   }
-  send(C, MsgType::WaitResponse, RequestId, J.Tenant, Version,
-       encode(R, Version));
+  send(C, MsgType::WaitResponse, RequestId, J.Tenant, encode(R));
   if (J.WaiterArrivedNs)
     reqHistogram(MsgType::WaitRequest)
         .observe(static_cast<double>(obs::detail::nowNs() -
@@ -879,7 +870,7 @@ void Server::processFinished() {
       continue;
     }
     const uint64_t WaiterConn = J.WaiterConn;
-    deliverResult(CIt->second, J, J.WaiterRequestId, J.WaiterVersion);
+    deliverResult(CIt->second, J, J.WaiterRequestId);
     Jobs.erase(It);
     if (!writeConn(CIt->second))
       closeConn(WaiterConn);

@@ -143,18 +143,16 @@ private:
   void dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload);
   void handleSubmit(Conn &C, const FrameHeader &H, const uint8_t *Payload);
   void handleWait(Conn &C, const FrameHeader &H, const WaitRequest &M);
-  /// Queues one response frame at \p Version on \p C.
+  /// Queues one response frame on \p C.
   void send(Conn &C, MsgType Type, uint64_t RequestId, uint32_t Tenant,
-            uint16_t Version, std::vector<uint8_t> Payload);
-  /// Answers the request \p H with \p M, in \p H's protocol version.
+            std::vector<uint8_t> Payload);
+  /// Answers the request \p H with \p M.
   template <typename Msg>
   void reply(Conn &C, const FrameHeader &H, MsgType Type, const Msg &M);
   void sendError(Conn &C, const FrameHeader &H, uint16_t Code,
                  const std::string &Message);
-  /// Builds the WaitResponse for a finished job and queues it, encoded
-  /// at the waiter's \p Version.
-  void deliverResult(Conn &C, JobRec &J, uint64_t RequestId,
-                     uint16_t Version);
+  /// Builds the WaitResponse for a finished job and queues it.
+  void deliverResult(Conn &C, JobRec &J, uint64_t RequestId);
   /// Drains the finished-job queue fed by the service callback.
   void processFinished();
   void closeConn(uint64_t ConnId);
@@ -212,7 +210,6 @@ private:
     bool HasWaiter = false;
     uint64_t WaiterConn = 0;
     uint64_t WaiterRequestId = 0;
-    uint16_t WaiterVersion = ProtocolVersion; ///< The reply's version.
     /// When the (current) WaitRequest arrived; deliverResult observes
     /// the park-to-delivery latency into net.req_us.wait.
     uint64_t WaiterArrivedNs = 0;

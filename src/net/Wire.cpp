@@ -6,6 +6,7 @@
 
 #include "net/Wire.h"
 #include "support/Crc32c.h"
+#include "support/Fnv1a.h"
 
 #include <cerrno>
 #include <sys/socket.h>
@@ -48,16 +49,6 @@ bool net::isKnownMsgType(uint16_t Raw) {
     return true;
   }
   return false;
-}
-
-uint64_t net::fnv1a(const void *Data, size_t Len) {
-  const uint8_t *P = static_cast<const uint8_t *>(Data);
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (size_t I = 0; I != Len; ++I) {
-    H ^= P[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
 }
 
 namespace {
@@ -120,10 +111,10 @@ Expected<FrameHeader> net::decodeFrameHeader(const uint8_t *Data, size_t Len) {
     return Error::failure("frame header checksum mismatch");
   FrameHeader H;
   H.Version = getLe16(Data + 4);
-  if (H.Version < MinProtocolVersion || H.Version > ProtocolVersion)
-    return Error::failure("unsupported protocol version " + std::to_string(H.Version) +
-                 " (this end speaks " + std::to_string(MinProtocolVersion) +
-                 ".." + std::to_string(ProtocolVersion) + ")");
+  if (H.Version != ProtocolVersion)
+    return Error::failure("unsupported protocol version " +
+                          std::to_string(H.Version) + " (this end speaks " +
+                          std::to_string(ProtocolVersion) + ")");
   const uint16_t RawType = getLe16(Data + 6);
   if (!isKnownMsgType(RawType))
     return Error::failure("unknown message type " + std::to_string(RawType));
@@ -149,10 +140,7 @@ void ByteWriter::floats(const float *Data, size_t Count) {
   const size_t At = Buf.size();
   const uint8_t *Raw = reinterpret_cast<const uint8_t *>(Data);
   Buf.insert(Buf.end(), Raw, Raw + Bytes);
-  if (floatsUseCrc32c(Version))
-    u32(crc32c(Buf.data() + At, Bytes));
-  else
-    u64(fnv1a(Buf.data() + At, Bytes));
+  u32(crc32c(Buf.data() + At, Bytes));
 }
 
 bool ByteReader::str(std::string &S, size_t MaxLen) {
@@ -172,26 +160,17 @@ bool ByteReader::floats(std::vector<float> &V, size_t MaxCount) {
   uint32_t N;
   if (!u32(N))
     return false;
-  const bool Crc = floatsUseCrc32c(Version);
   const size_t Bytes = static_cast<size_t>(N) * sizeof(float);
   // Validate the count against bytes actually present (plus the trailing
   // checksum) before the allocation.
-  if (N > MaxCount ||
-      remaining() < Bytes + (Crc ? sizeof(uint32_t) : sizeof(uint64_t))) {
+  if (N > MaxCount || remaining() < Bytes + sizeof(uint32_t)) {
     Failed = true;
     return false;
   }
   const uint8_t *Block = Data + Pos;
   Pos += Bytes;
-  bool Match;
-  if (Crc) {
-    uint32_t Got;
-    Match = u32(Got) && Got == crc32c(Block, Bytes);
-  } else {
-    uint64_t Got;
-    Match = u64(Got) && Got == fnv1a(Block, Bytes);
-  }
-  if (!Match) {
+  uint32_t Got;
+  if (!u32(Got) || Got != crc32c(Block, Bytes)) {
     Failed = true;
     return false;
   }
@@ -203,9 +182,8 @@ bool ByteReader::floats(std::vector<float> &V, size_t MaxCount) {
 
 std::array<uint8_t, FrameHeaderBytes>
 net::frameHeader(MsgType Type, uint64_t RequestId, uint32_t Tenant,
-                 uint32_t PayloadBytes, uint16_t Version) {
+                 uint32_t PayloadBytes) {
   FrameHeader H;
-  H.Version = Version;
   H.Type = Type;
   H.Tenant = Tenant;
   H.RequestId = RequestId;
@@ -235,10 +213,9 @@ ssize_t net::sendFrameBytes(int Fd, const uint8_t *Header,
 }
 
 Error net::writeFrame(int Fd, MsgType Type, uint64_t RequestId,
-                      uint32_t Tenant, const std::vector<uint8_t> &Payload,
-                      uint16_t Version) {
-  const auto Header = frameHeader(
-      Type, RequestId, Tenant, static_cast<uint32_t>(Payload.size()), Version);
+                      uint32_t Tenant, const std::vector<uint8_t> &Payload) {
+  const auto Header = frameHeader(Type, RequestId, Tenant,
+                                  static_cast<uint32_t>(Payload.size()));
   const size_t Total = FrameHeaderBytes + Payload.size();
   size_t Sent = 0;
   while (Sent != Total) {

@@ -18,7 +18,7 @@
 ///
 ///   offset  size  field
 ///        0     4  magic      0x434D4331 ("CMC1" on a little-endian wire)
-///        4     2  version    protocol version (currently 3; 1 and 2 accepted)
+///        4     2  version    protocol version (exactly 3)
 ///        6     2  type       MsgType
 ///        8     4  tenant     tenant id (0 = anonymous default tenant)
 ///       12     8  request id caller-chosen correlation id, echoed back
@@ -27,11 +27,9 @@
 ///
 /// The checksum is verified before the length field is trusted, so a
 /// corrupt header cannot command a giant read. Float arrays travel as
-/// raw IEEE-754 bit patterns followed by a checksum of those bytes —
+/// raw IEEE-754 bit patterns followed by a u32 CRC32C of those bytes —
 /// results that cross the wire are bitwise what the backend produced.
-/// The frame's version picks that checksum: a u32 CRC32C from version 3
-/// on, a u64 FNV-1a64 at versions 1 and 2. A peer is answered in the
-/// version of the frame it sent.
+/// Both ends speak one version; a frame at any other is refused.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,14 +50,10 @@ namespace net {
 /// "CMC1", read as a little-endian u32.
 constexpr uint32_t FrameMagic = 0x31434D43u;
 
-/// The protocol version this library speaks. Bumped on any frame or
-/// payload layout change. Version 2 added the submit trace-context
-/// fields and the Timeline/Dump message pairs, append-only, so v1
-/// payloads still decode. Version 3 replaced the float-array checksum
-/// (see ByteWriter::floats). Both ends reject anything outside
-/// [Min, Current] cleanly.
+/// The one protocol version this library speaks. Bumped on any frame or
+/// payload layout change; a frame of any other version is refused
+/// cleanly, never translated.
 constexpr uint16_t ProtocolVersion = 3;
-constexpr uint16_t MinProtocolVersion = 1;
 
 /// Upper bound on one frame's payload. Large enough for a 2048-node
 /// machine's gathered result grid, small enough that a corrupt or
@@ -86,7 +80,6 @@ enum class MsgType : uint16_t {
   StatsRequest = 11,
   StatsResponse = 12,
   ErrorResponse = 14,
-  // Version 2.
   TimelineRequest = 15,
   TimelineResponse = 16,
   DumpRequest = 17,
@@ -111,14 +104,6 @@ enum class MsgType : uint16_t {
 /// True for type values this protocol version defines.
 bool isKnownMsgType(uint16_t Raw);
 
-/// FNV-1a over \p Len bytes: header checksums truncate it to 32 bits,
-/// and float arrays before version 3 keep all 64.
-uint64_t fnv1a(const void *Data, size_t Len);
-
-/// True when float arrays at \p Version carry a CRC32C, false when they
-/// carry an FNV-1a64.
-constexpr bool floatsUseCrc32c(uint16_t Version) { return Version >= 3; }
-
 /// The decoded fixed header of one frame.
 struct FrameHeader {
   uint16_t Version = ProtocolVersion;
@@ -133,21 +118,20 @@ struct FrameHeader {
 void encodeFrameHeader(const FrameHeader &H, uint8_t *Out);
 
 /// Decodes a header from \p Data (which must hold at least
-/// FrameHeaderBytes). Verifies magic, version, checksum, known type,
-/// and the payload bound; the message names which check failed.
+/// FrameHeaderBytes). Verifies magic, checksum, version (exactly
+/// ProtocolVersion), known type, and the payload bound; the message
+/// names which check failed.
 Expected<FrameHeader> decodeFrameHeader(const uint8_t *Data, size_t Len);
 
-/// Little-endian payload builder for one protocol version. Append-only;
-/// take() surrenders the buffer.
+/// Little-endian payload builder. Append-only; take() surrenders the
+/// buffer.
 class ByteWriter {
 public:
-  explicit ByteWriter(uint16_t Version = ProtocolVersion) : Version(Version) {}
-
   /// Bytes str() appends for \p S.
   static size_t strBytes(const std::string &S) { return 4 + S.size(); }
-  /// Bytes floats() appends for \p Count floats at this version.
-  size_t floatsBytes(size_t Count) const {
-    return 4 + Count * sizeof(float) + (floatsUseCrc32c(Version) ? 4 : 8);
+  /// Bytes floats() appends for \p Count floats.
+  static size_t floatsBytes(size_t Count) {
+    return 4 + Count * sizeof(float) + 4;
   }
   /// Sizes the buffer for \p Bytes in all, so large appends that follow
   /// do not reallocate it.
@@ -167,8 +151,8 @@ public:
   /// u32 length followed by the raw bytes.
   void str(const std::string &S);
 
-  /// u32 element count, raw IEEE-754 floats, then a checksum of those
-  /// float bytes: a u32 CRC32C from version 3 on, a u64 FNV-1a64 before.
+  /// u32 element count, raw IEEE-754 floats, then a u32 CRC32C of those
+  /// float bytes.
   void floats(const float *Data, size_t Count);
 
   size_t size() const { return Buf.size(); }
@@ -179,7 +163,6 @@ private:
     for (size_t I = 0; I != sizeof(T); ++I)
       Buf.push_back(static_cast<uint8_t>(V >> (8 * I)));
   }
-  uint16_t Version;
   std::vector<uint8_t> Buf;
 };
 
@@ -187,13 +170,10 @@ private:
 /// false (and latches the failure) instead of reading past the end;
 /// decode functions test ok() once at the end. A length field is never
 /// used to size an allocation before the remaining-bytes check proves
-/// the bytes are actually present. The version selects the float-array
-/// checksum, as in ByteWriter.
+/// the bytes are actually present.
 class ByteReader {
 public:
-  ByteReader(const uint8_t *Data, size_t Len,
-             uint16_t Version = ProtocolVersion)
-      : Data(Data), Len(Len), Version(Version) {}
+  ByteReader(const uint8_t *Data, size_t Len) : Data(Data), Len(Len) {}
 
   bool u8(uint8_t &V) { return readLe(V); }
   bool u16(uint16_t &V) { return readLe(V); }
@@ -246,7 +226,6 @@ private:
 
   const uint8_t *Data;
   size_t Len;
-  uint16_t Version;
   size_t Pos = 0;
   bool Failed = false;
 };
@@ -254,7 +233,7 @@ private:
 /// The encoded header of a frame announcing \p PayloadBytes of payload.
 std::array<uint8_t, FrameHeaderBytes>
 frameHeader(MsgType Type, uint64_t RequestId, uint32_t Tenant,
-            uint32_t PayloadBytes, uint16_t Version = ProtocolVersion);
+            uint32_t PayloadBytes);
 
 /// One sendmsg(MSG_NOSIGNAL) of a frame's bytes from offset \p Sent on:
 /// the rest of the header, then the rest of the payload, as two iovecs.
@@ -266,8 +245,7 @@ ssize_t sendFrameBytes(int Fd, const uint8_t *Header, const uint8_t *Payload,
 /// Writes one whole frame to the blocking socket \p Fd, retrying partial
 /// writes and EINTR. Fails with the strerror text of the failed send.
 Error writeFrame(int Fd, MsgType Type, uint64_t RequestId, uint32_t Tenant,
-                 const std::vector<uint8_t> &Payload,
-                 uint16_t Version = ProtocolVersion);
+                 const std::vector<uint8_t> &Payload);
 
 } // namespace net
 } // namespace cmcc

@@ -6,25 +6,18 @@
 
 #include "support/FaultInjection.h"
 #include "obs/FlightRecorder.h"
+#include "support/Fnv1a.h"
 #include "support/Random.h"
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 using namespace cmcc;
 using namespace cmcc::fault;
 
 namespace {
-
-uint64_t fnv1a(const char *Text) {
-  uint64_t H = 1469598103934665603ULL;
-  for (; *Text; ++Text) {
-    H ^= static_cast<unsigned char>(*Text);
-    H *= 1099511628211ULL;
-  }
-  return H;
-}
 
 /// Exact match, or \p Pattern is a prefix ending in '*'.
 bool siteMatches(const std::string &Pattern, const char *Site) {
@@ -77,7 +70,7 @@ bool Registry::shouldFail(const char *Site) {
     std::lock_guard<std::mutex> Lock(Mutex);
     SiteCounts &S = Sites[Site];
     const long Probe = S.Probes++;
-    const uint64_t SiteHash = fnv1a(Site);
+    const uint64_t SiteHash = fnv1a(Site, std::strlen(Site), Fnv1aNameBasis);
     for (size_t I = 0; I != Rules.size(); ++I) {
       ArmedRule &AR = Rules[I];
       if (!siteMatches(AR.R.Site, Site))

@@ -454,6 +454,11 @@ TEST(BackendSeamTest, FingerprintTagsNonDefaultBackendsOnly) {
             planFingerprint(Spec, Config, "native"));
   EXPECT_NE(planFingerprintText(Spec, Config, "njit").find("backend njit"),
             std::string::npos);
+  // Fingerprints name the on-disk .cmccode/.tune files and the njit
+  // artifacts, so a rewrite of the hash must not move them.
+  const StencilSpec Cross5 = makePattern(PatternId::Cross5);
+  EXPECT_EQ(planFingerprint(Cross5, Config), 0xb31a54ad02edb8b0ull);
+  EXPECT_EQ(planFingerprint(Cross5, Config, "njit"), 0xc3ec7fbcd28f65ddull);
 }
 
 TEST(BackendSeamTest, NativeTimeOnlyReportsWallClock) {

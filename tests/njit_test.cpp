@@ -195,6 +195,11 @@ TEST(NjitToolchainTest, HostIsaStampIsPartOfTheIdentity) {
       njit::toolchainIdentity("/usr/bin/c++", 1234, 5678, Here + "+avx");
   EXPECT_EQ(Local.identityHex(), Same.identityHex());
   EXPECT_NE(Local.identityHex(), Other.identityHex());
+  // The identity names the cc-<identity> artifact directories. For fixed
+  // inputs its value is pinned; bumping CompileFlags or EmitterVersion
+  // moves it on purpose, and this value with it.
+  EXPECT_EQ(njit::toolchainIdentity("/usr/bin/c++", 1234, 5678, "x86_64"),
+            0xfcf6ce302fd015e6ull);
   EXPECT_NE(std::string(njit::CompileFlags).find("-march=native"),
             std::string::npos);
 

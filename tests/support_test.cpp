@@ -6,6 +6,7 @@
 
 #include "support/Diagnostic.h"
 #include "support/Error.h"
+#include "support/Fnv1a.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
 #include "support/TextTable.h"
@@ -55,6 +56,16 @@ TEST(DiagnosticTest, CountsAndFormats) {
 TEST(DiagnosticTest, UnknownLocationOmitted) {
   Diagnostic D{DiagnosticSeverity::Note, {}, "hi"};
   EXPECT_EQ(formatDiagnostic(D), "note: hi");
+}
+
+TEST(Fnv1aTest, KnownAnswersAndChaining) {
+  // The published FNV-1a64 test vectors. Plan fingerprints, njit
+  // toolchain identities and frame checksums are all this hash, so its
+  // values are part of every on-disk and on-wire name.
+  EXPECT_EQ(fnv1a("", 0), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar", 6), 0x85944171f73967e8ull);
+  EXPECT_EQ(fnv1a("bar", 3, fnv1a("foo", 3)), fnv1a("foobar", 6));
 }
 
 TEST(StringUtilsTest, CaseConversion) {

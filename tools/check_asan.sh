@@ -1,9 +1,10 @@
 #!/bin/sh
-# Builds the runtime, backend, shard and serving tests with
+# Builds the runtime, backend, shard, serving and wire-codec tests with
 # AddressSanitizer and UndefinedBehaviorSanitizer and runs them. Subgrids
 # live inside halo margins and every reader walks them by row pitch, so
 # a pitch or offset mistake at a subgrid edge shows up here as an
-# overrun. Run from anywhere:
+# overrun; the codec suites feed hostile bytes to every decoder and to
+# both CRC32C implementations. Run from anywhere:
 #
 #   tools/check_asan.sh [build-dir]
 #
@@ -13,7 +14,8 @@ set -eu
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD=${1:-"$ROOT/build-asan"}
 TESTS="haloexchange_test runtime_test executor_test backend_equivalence_test \
-timetile_test shard_test pool_lease_test net_server_test"
+timetile_test shard_test pool_lease_test net_server_test net_protocol_test \
+crc32c_test"
 
 cmake -B "$BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

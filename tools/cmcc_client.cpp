@@ -50,6 +50,7 @@
 #include "net/Client.h"
 #include "obs/Trace.h"
 #include "obs/TraceContext.h"
+#include "support/Fnv1a.h"
 #include "support/Provenance.h"
 #include "support/StringUtils.h"
 #include <cctype>
@@ -273,8 +274,8 @@ int printWaitResult(const net::WaitResponse &R) {
     std::printf("result %s %ux%u checksum %016llx\n", R.Result.Name.c_str(),
                 R.Result.Rows, R.Result.Cols,
                 static_cast<unsigned long long>(
-                    net::fnv1a(R.Result.Data.data(),
-                               R.Result.Data.size() * sizeof(float))));
+                    fnv1a(R.Result.Data.data(),
+                          R.Result.Data.size() * sizeof(float))));
   return 0;
 }
 
@@ -327,13 +328,10 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     if (Opts.Json) {
-      // One valid JSON object even when the server also sent its net.*
-      // wire metrics (version 2).
-      if (R->NetJson.empty())
-        std::fputs(R->Json.c_str(), stdout);
-      else
-        std::printf("{\"service\": %s, \"net\": %s}\n", R->Json.c_str(),
-                    R->NetJson.c_str());
+      // One JSON object holding the service stats and the net.* wire
+      // metrics every StatsResponse carries.
+      std::printf("{\"service\": %s, \"net\": %s}\n", R->Json.c_str(),
+                  R->NetJson.c_str());
     } else {
       std::fputs(R->Table.c_str(), stdout);
       if (!R->NetTable.empty()) {
