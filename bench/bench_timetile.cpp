@@ -25,11 +25,7 @@
 /// climbs as edge recompute takes over — the non-monotone curve the
 /// autotuner exists to sweep. Coefficient-array stencils pay wide
 /// coefficient halos the untiled program never sends, pushing their
-/// best depth toward 1. The host wall-clock of the native backend is
-/// reported alongside, honestly: on a small shared-memory host the
-/// redundant edge compute outweighs memcpy-cheap exchanges, so host
-/// seconds grow with k — the tile pays off where exchanges have real
-/// latency, which is what the simulated column models.
+/// best depth toward 1.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +33,6 @@
 #include "backends/cm2/Cm2Backend.h"
 #include "obs/Metrics.h"
 #include "runtime/TimeTile.h"
-#include "service/StencilService.h"
 #include <chrono>
 
 using namespace cmccbench;
@@ -241,64 +236,6 @@ void benchSimulatedDepth(BenchJsonWriter &Json) {
               Sub, Sub, T.str().c_str());
 }
 
-/// K2b: native-backend serving wall-clock versus tile depth on the
-/// seismic kernel. Every depth runs the same timestep budget. Host
-/// seconds grow with k here (redundant edge compute is real, exchange
-/// latency is a memcpy) — the honest counterpoint to K2a's model.
-void benchServiceDepth(BenchJsonWriter &Json) {
-  constexpr int Sub = 64;
-  constexpr int StepBudget = 64; // Timesteps per job, split as Iters * k.
-  constexpr int Jobs = 24;
-
-  TextTable T;
-  T.setHeader({"depth k", "jobs/s", "ksteps/s", "host(s)"});
-  for (int K : Depths) {
-    StencilService::Options Opts;
-    Opts.Workers = 2;
-    Opts.Backend = "native";
-    Opts.TimeTile = K;
-    StencilService Service(MachineConfig::testMachine16(), Opts);
-
-    StencilService::JobRequest Req;
-    Req.Kind = StencilService::SourceKind::FortranSubroutine;
-    Req.Source = patternFortranSource(PatternId::Cross9R2);
-    Req.SubRows = Sub;
-    Req.SubCols = Sub;
-    Req.Iterations = StepBudget / K;
-
-    // Warm: compile once, and let the first job page everything in.
-    StencilService::JobResult Warm = Service.wait(Service.submit(Req));
-    if (!Warm.Ok || Warm.TimeTileUsed != K) {
-      std::fprintf(stderr,
-                   "bench_timetile: depth-%d warmup failed (used %d): %s\n",
-                   K, Warm.TimeTileUsed, Warm.Message.c_str());
-      std::abort();
-    }
-
-    auto Begin = std::chrono::steady_clock::now();
-    std::vector<StencilService::JobId> Ids;
-    for (int I = 0; I != Jobs; ++I)
-      Ids.push_back(Service.submit(Req));
-    for (StencilService::JobId Id : Ids)
-      if (StencilService::JobResult R = Service.wait(Id); !R.Ok) {
-        std::fprintf(stderr, "bench_timetile: job failed: %s\n",
-                     R.Message.c_str());
-        std::abort();
-      }
-    double HostS = seconds(Begin);
-
-    double StepsPerS = static_cast<double>(Jobs) * Req.Iterations * K / HostS;
-    T.addRow({std::to_string(K), formatFixed(Jobs / HostS, 1),
-              formatFixed(StepsPerS / 1e3, 2), formatFixed(HostS, 3)});
-    Json.addRow("K2b/seismic/native/k=" + std::to_string(K), -1.0, -1.0,
-                HostS);
-    Json.addScalar("seismic_steps_per_s_k" + std::to_string(K), StepsPerS);
-  }
-  std::printf("=== K2b: seismic kernel (%s) serving wall-clock vs depth, "
-              "native backend, %d timesteps/job ===\n\n%s\n",
-              patternName(PatternId::Cross9R2), StepBudget, T.str().c_str());
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -308,7 +245,6 @@ int main(int argc, char **argv) {
   BenchJsonWriter Json("timetile");
   benchExchangeTraffic(Json);
   benchSimulatedDepth(Json);
-  benchServiceDepth(Json);
 
   std::string Path = Json.write();
   if (!Path.empty())

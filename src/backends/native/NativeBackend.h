@@ -13,7 +13,8 @@
 ///
 /// Everything around the loop nest is the shared host run driver
 /// (runtime/HostRun.h): the §5.1 exchange, the row-tiled thread-pool
-/// dispatch, time tiling and the wall-clock TimingReport. This backend
+/// dispatch, the one-step-per-exchange rule and the wall-clock
+/// TimingReport. This backend
 /// contributes only the generic row kernel, which interprets the spec
 /// tap by tap behind the driver's row-kernel ABI.
 ///

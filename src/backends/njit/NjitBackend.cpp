@@ -56,8 +56,7 @@ NjitBackend::runResolved(const CompiledStencil &Compiled,
                : Error::transient(Kernel.error().message());
 
   // The kernel is geometry-oblivious — bases, strides and widths are
-  // call operands — so the one artifact drives untiled runs,
-  // intermediate extended rectangles and the final step.
+  // call operands — so one artifact serves every subgrid shape.
   return runOnHost(Config, Opts, Spec, Resolved, RO, Kernel->Kernel,
                    {"backend.njit.halo_exchange", "njit.run"});
 }

@@ -17,12 +17,13 @@
 ///
 /// Everything around the kernel is the host run driver it shares with
 /// the native backend (runtime/HostRun.h): the §5.1 halo-exchange
-/// protocol, the row-tiled thread-pool dispatch, time tiling and the
-/// wall-clock TimingReport. The dlopen'd kernel is called through the
-/// driver's row-kernel ABI directly. The kernel computes the identical sequence of rounded float
-/// operations (emitted and compiled with -ffp-contract=off), so njit
-/// results are bitwise equal to native and inherit native's ≤1-ulp
-/// contract with cm2 (backend_equivalence_test runs all three).
+/// protocol, the row-tiled thread-pool dispatch, the one-step-per-
+/// exchange rule and the wall-clock TimingReport. The dlopen'd kernel
+/// is called through the driver's row-kernel ABI directly. The kernel
+/// computes the identical sequence of rounded float operations (emitted
+/// and compiled with -ffp-contract=off), so njit results are bitwise
+/// equal to native and inherit native's ≤1-ulp contract with cm2
+/// (backend_equivalence_test runs all three).
 ///
 /// Failure semantics: no usable host compiler, a broken CMCC_NJIT_CC,
 /// or a failing toolchain invocation (the `njit.cc` fault site) surface

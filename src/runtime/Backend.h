@@ -55,13 +55,15 @@ struct RunOptions {
   /// runtime, iterations scale the reported cost; the arrays are
   /// written once.
   int Iterations = 1;
-  /// Time-tile depth k (ROADMAP item 5): the run computes k *chained*
-  /// timesteps — step s feeds step s+1 — behind a single halo exchange
-  /// whose border widens to k x radius. The result arrays hold the
-  /// k-step evolution, bitwise equal to k separate runs feeding each
-  /// result back as the next source. 1 (the default) is exactly the
-  /// classic single-step run. Depths k > 1 require a single-source
-  /// stencil and k x radius <= the subgrid extent.
+  /// Time-tile depth k, a cm2 cost-model extension: the run computes k
+  /// *chained* timesteps — step s feeds step s+1 — behind a single halo
+  /// exchange whose border widens to k x radius. The result arrays hold
+  /// the k-step evolution, bitwise equal to k separate runs feeding
+  /// each result back as the next source. 1 (the default) is exactly
+  /// the classic single-step run. Depths k > 1 require the cm2 backend
+  /// (sharded or not), a single-source stencil and k x radius <= the
+  /// subgrid extent; host backends (native, njit) run one step per
+  /// exchange and refuse them.
   int TimeTile = 1;
 };
 

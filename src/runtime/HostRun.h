@@ -8,17 +8,17 @@
 /// The run-time library of the host backends. In the paper one library
 /// allocates halo storage, exchanges borders and strip-mines the
 /// subgrid, and only the microcode it drives changes per stencil (§5).
-/// Here runOnHost() is that library for native and njit: it validates
-/// the time tile, leases the pool, runs the §5.1 exchange, cuts every
-/// node's (extended) subgrid into row tiles and hands each tile to a
-/// row kernel. The row kernel is the only part that differs: native
-/// passes its generic tap-loop interpreter, njit its dlopen'd
-/// plan-specialized kernel.
+/// Here runOnHost() is that library for native and njit: it leases the
+/// pool, runs the §5.1 exchange, cuts every node's subgrid into row
+/// tiles and hands each tile to a row kernel. The row kernel is the
+/// only part that differs: native passes its generic tap-loop
+/// interpreter, njit its dlopen'd plan-specialized kernel.
 ///
-/// A time-tiled run (depth k > 1) chains k passes behind one wide
-/// exchange: k-1 intermediate passes compute shrinking extended
-/// rectangles into double-buffered scratch, zero-masked at global Zero
-/// edges (runtime/TimeTile.h), and the last pass writes the result.
+/// Host runs take one timestep per exchange. On the host an exchange is
+/// a memcpy, so fusing k steps behind one wide exchange (the paper's
+/// unrolled seismic loop) buys nothing and streams every array k times;
+/// time tiling is a cm2 cost-model extension (runtime/TimeTile.h), and
+/// runOnHost() refuses any depth other than 1.
 ///
 /// The exchange prologue, exchangeOperands(), is shared with the cm2
 /// Executor, whose per-node steps drive the FPU pipeline model instead
@@ -88,7 +88,7 @@ struct ExchangedOperands {
   /// By StencilSpec source index, then node id: the subgrid extended
   /// TimeTile x radius into its margin.
   std::vector<std::vector<ConstSubgridRef>> Sources;
-  /// Tiled runs only: each distinct coefficient array (by name, in
+  /// Tiled (cm2) runs only: each distinct coefficient array (by name, in
   /// first-appearance tap order), then node id, extended by
   /// (TimeTile - 1) x radius. Intermediate pad cells multiply by the
   /// *owner's* coefficients.
@@ -117,10 +117,11 @@ struct HostRunSpans {
   const char *Compute;
 };
 
-/// Runs \p Spec over \p Resolved on the host with \p Kernel computing
-/// every row tile, and reports measured wall-clock seconds in the host
-/// field of the TimingReport (the simulated cycle breakdown is zero).
-/// One fused unit advances RO.TimeTile timesteps.
+/// Runs one timestep of \p Spec over \p Resolved on the host with
+/// \p Kernel computing every row tile, and reports measured wall-clock
+/// seconds in the host field of the TimingReport (the simulated cycle
+/// breakdown is zero). RO.TimeTile other than 1 is refused,
+/// non-transiently, before anything is exchanged.
 Expected<TimingReport> runOnHost(const MachineConfig &Config,
                                  const HostRunOptions &Opts,
                                  const StencilSpec &Spec,

@@ -6,6 +6,7 @@
 
 #include "runtime/TimeTile.h"
 #include <algorithm>
+#include <cassert>
 #include <string>
 
 using namespace cmcc;
@@ -80,35 +81,4 @@ std::vector<OwnerRegion> cmcc::timetile::ownerRegions(
     }
   }
   return Regions;
-}
-
-void cmcc::timetile::applyZeroMask(Array2D &Padded, int Border, int POut,
-                                   int SubRows, int SubCols,
-                                   BoundaryKind BoundaryDim1,
-                                   BoundaryKind BoundaryDim2, int GlobalRow,
-                                   int GlobalRows, int GlobalCol,
-                                   int GlobalCols) {
-  if (BoundaryDim1 != BoundaryKind::Zero &&
-      BoundaryDim2 != BoundaryKind::Zero)
-    return;
-  // Subgrid-space cell (r, c) — r in [-POut, SubRows + POut) — sits at
-  // global position (GlobalRow * SubRows + r, GlobalCol * SubCols + c);
-  // outside the global array under a Zero boundary means identically
-  // zero at every step of the chain.
-  const long TotalRows = static_cast<long>(GlobalRows) * SubRows;
-  const long TotalCols = static_cast<long>(GlobalCols) * SubCols;
-  for (int R = -POut; R != SubRows + POut; ++R) {
-    const long GR = static_cast<long>(GlobalRow) * SubRows + R;
-    const bool RowOut = BoundaryDim1 == BoundaryKind::Zero &&
-                        (GR < 0 || GR >= TotalRows);
-    for (int C = -POut; C != SubCols + POut; ++C) {
-      if (RowOut) {
-        Padded.at(R + Border, C + Border) = 0.0f;
-        continue;
-      }
-      const long GC = static_cast<long>(GlobalCol) * SubCols + C;
-      if (BoundaryDim2 == BoundaryKind::Zero && (GC < 0 || GC >= TotalCols))
-        Padded.at(R + Border, C + Border) = 0.0f;
-    }
-  }
 }

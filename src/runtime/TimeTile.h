@@ -13,29 +13,26 @@
 /// — exactly the result subgrid. The paper's seismic workload unrolls
 /// by 3 for the same reason: fusing steps amortizes communication.
 ///
-/// Two execution styles consume this geometry:
-///
-///   * the cm2 backend replays, for every pad cell of an intermediate
-///     step, the *owner* node's strip plan at owner-relative positions
-///     (the 3x3 owner regions below), so tiled results are bitwise
-///     equal to step-by-step simulated runs;
-///   * the native/njit backends compute the whole extended rectangle
-///     directly (their per-point arithmetic is position-independent)
-///     and then zero-mask cells that fall outside the global array
-///     under Zero (EOSHIFT) boundaries.
+/// Tiling is a cm2 cost-model extension: the cm2 backend (and sharded
+/// cm2) replays, for every pad cell of an intermediate step, the
+/// *owner* node's strip plan at owner-relative positions (the 3x3 owner
+/// regions below), so tiled results are bitwise equal to step-by-step
+/// simulated runs. Host backends run one step per exchange — there an
+/// exchange is a memcpy and fusing steps buys nothing — and refuse
+/// depths other than 1 (runtime/HostRun.h).
 ///
 /// Zero-boundary semantics under wide halos: a cell whose *global*
 /// position falls outside the global array is identically zero at every
-/// step — the widened exchange zero-fills it at step one, and the
-/// masking below keeps it zero through the chain, which is exactly what
-/// the per-step exchange of an untiled run would deliver.
+/// step — the widened exchange zero-fills it at step one, and owner
+/// regions across a Zero edge are written as zeros through the chain,
+/// which is exactly what the per-step exchange of an untiled run would
+/// deliver.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CMCC_RUNTIME_TIMETILE_H
 #define CMCC_RUNTIME_TIMETILE_H
 
-#include "runtime/Array2D.h"
 #include "stencil/StencilSpec.h"
 #include "support/Error.h"
 #include <vector>
@@ -87,17 +84,6 @@ std::vector<OwnerRegion> ownerRegions(int SubRows, int SubCols, int POut,
                                       BoundaryKind BoundaryDim2,
                                       int GlobalRow, int GlobalRows,
                                       int GlobalCol, int GlobalCols);
-
-/// Zero-masks the extension cells of \p Padded (a B-padded subgrid
-/// holding an intermediate step's output to extension \p POut) whose
-/// global positions fall outside the global array under Zero
-/// boundaries. Rows [B - POut, B + SubRows + POut) x the matching
-/// columns are visited; core cells are never touched. No-op when both
-/// boundaries are circular.
-void applyZeroMask(Array2D &Padded, int Border, int POut, int SubRows,
-                   int SubCols, BoundaryKind BoundaryDim1,
-                   BoundaryKind BoundaryDim2, int GlobalRow, int GlobalRows,
-                   int GlobalCol, int GlobalCols);
 
 } // namespace timetile
 } // namespace cmcc

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 using namespace cmcc;
@@ -22,6 +23,11 @@ namespace {
 
 /// The tile depths a sweep tries, before clamping to the plan.
 constexpr int CandidateDepths[] = {1, 2, 4, 8};
+
+/// "64x32" — the subgrid shape a record is valid for.
+std::string subgridStamp(int SubRows, int SubCols) {
+  return std::to_string(SubRows) + "x" + std::to_string(SubCols);
+}
 
 } // namespace
 
@@ -34,8 +40,10 @@ void Autotuner::noteMetric(const char *Name) {
 }
 
 std::string Autotuner::recordPath(const std::string &Dir,
-                                  uint64_t Fingerprint) {
-  return Dir + "/" + fingerprintHex(Fingerprint) + ".tune";
+                                  uint64_t Fingerprint, int SubRows,
+                                  int SubCols) {
+  return Dir + "/" + fingerprintHex(Fingerprint) + "-" +
+         subgridStamp(SubRows, SubCols) + ".tune";
 }
 
 std::string Autotuner::machineStamp() const {
@@ -45,10 +53,11 @@ std::string Autotuner::machineStamp() const {
 }
 
 std::optional<Autotuner::TunedParams>
-Autotuner::loadRecord(uint64_t Fingerprint, const std::string &BackendName) {
+Autotuner::loadRecord(uint64_t Fingerprint, int SubRows, int SubCols,
+                      const std::string &BackendName) {
   if (Opts.Dir.empty())
     return std::nullopt;
-  std::ifstream In(recordPath(Opts.Dir, Fingerprint));
+  std::ifstream In(recordPath(Opts.Dir, Fingerprint, SubRows, SubCols));
   if (!In)
     return std::nullopt; // Nothing on disk: a plain (uncounted) miss.
 
@@ -64,11 +73,12 @@ Autotuner::loadRecord(uint64_t Fingerprint, const std::string &BackendName) {
     return std::nullopt;
   };
   std::string Line;
-  if (!std::getline(In, Line) || Line != "cmcc-tune v2")
+  if (!std::getline(In, Line) || Line != "cmcc-tune v3")
     return Reject();
 
   TunedParams P;
-  bool SawFp = false, SawMachine = false, SawBackend = false, SawTile = false;
+  bool SawFp = false, SawSubgrid = false, SawMachine = false,
+       SawBackend = false, SawTile = false;
   while (std::getline(In, Line)) {
     if (Line.empty())
       continue;
@@ -81,6 +91,12 @@ Autotuner::loadRecord(uint64_t Fingerprint, const std::string &BackendName) {
       if (Hex != fingerprintHex(Fingerprint))
         return Reject();
       SawFp = true;
+    } else if (Key == "subgrid") {
+      std::string Stamp;
+      LS >> Stamp;
+      if (Stamp != subgridStamp(SubRows, SubCols))
+        return Reject();
+      SawSubgrid = true;
     } else if (Key == "machine") {
       std::string Stamp;
       LS >> Stamp;
@@ -104,12 +120,12 @@ Autotuner::loadRecord(uint64_t Fingerprint, const std::string &BackendName) {
       return Reject(); // Unknown key: a future version we cannot trust.
     }
   }
-  if (!SawFp || !SawMachine || !SawBackend || !SawTile)
+  if (!SawFp || !SawSubgrid || !SawMachine || !SawBackend || !SawTile)
     return Reject(); // Truncated.
   return P;
 }
 
-void Autotuner::storeRecord(uint64_t Fingerprint,
+void Autotuner::storeRecord(uint64_t Fingerprint, int SubRows, int SubCols,
                             const std::string &BackendName,
                             const TunedParams &P) {
   if (Opts.Dir.empty())
@@ -117,33 +133,38 @@ void Autotuner::storeRecord(uint64_t Fingerprint,
   std::error_code EC;
   std::filesystem::create_directories(Opts.Dir, EC);
   std::ostringstream Out;
-  Out << "cmcc-tune v2\n"
+  Out << "cmcc-tune v3\n"
       << "fingerprint " << fingerprintHex(Fingerprint) << "\n"
+      << "subgrid " << subgridStamp(SubRows, SubCols) << "\n"
       << "machine " << machineStamp() << "\n"
       << "backend " << BackendName << "\n"
       << "time_tile " << P.TimeTile << "\n"
       << "score_us " << P.ScoreUs << "\n";
   // Persistence is best-effort; memory still has the winner. Readers
   // see the old record or the new one, never a torn one.
-  (void)writeFileAtomic(recordPath(Opts.Dir, Fingerprint), Out.str());
+  (void)writeFileAtomic(recordPath(Opts.Dir, Fingerprint, SubRows, SubCols),
+                        Out.str());
 }
 
 std::optional<Autotuner::TunedParams>
-Autotuner::lookup(uint64_t Fingerprint, const ExecutionBackend &Backend) {
+Autotuner::lookup(uint64_t Fingerprint, const ExecutionBackend &Backend,
+                  int SubRows, int SubCols) {
+  const auto Key = std::make_tuple(Fingerprint, SubRows, SubCols);
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Memory.find(Fingerprint);
+    auto It = Memory.find(Key);
     if (It != Memory.end()) {
       ++Counts.Hits;
       noteMetric("service.tune_hits");
       return It->second;
     }
   }
-  if (std::optional<TunedParams> P = loadRecord(Fingerprint, Backend.name())) {
+  if (std::optional<TunedParams> P =
+          loadRecord(Fingerprint, SubRows, SubCols, Backend.name())) {
     {
       std::lock_guard<std::mutex> Lock(Mutex);
       ++Counts.DiskHits;
-      Memory.emplace(Fingerprint, *P);
+      Memory.emplace(Key, *P);
     }
     noteMetric("service.tune_disk_hits");
     return P;
@@ -174,7 +195,6 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
       Depths.push_back(K);
   }
 
-  const bool WallClock = Backend.reportsWallClock();
   TunedParams Best;
   Best.ScoreUs = -1.0;
   for (int K : Depths) {
@@ -185,13 +205,10 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
     if (!Report)
       continue; // An undeployable depth scores itself out.
     // Each depth is scored from its own probe's report, never from a
-    // process-wide total that other workers' jobs also feed: the
-    // measured wall clock for wall-clock backends, the simulated time
-    // for cm2. Depth k's run covers k chained steps, so the fair
-    // per-timestep comparison divides by k.
-    double Us = (WallClock ? Report->HostSecondsPerIteration
-                           : Report->secondsPerIteration()) *
-                1e6 / K;
+    // process-wide total that other workers' jobs also feed. Depth k's
+    // run covers k chained steps, so the fair per-timestep comparison
+    // divides by k.
+    double Us = Report->secondsPerIteration() * 1e6 / K;
     if (Best.ScoreUs < 0.0 || Us < Best.ScoreUs) {
       Best.TimeTile = K;
       Best.ScoreUs = Us;
@@ -200,10 +217,10 @@ Autotuner::TunedParams Autotuner::tune(uint64_t Fingerprint,
   if (Best.ScoreUs < 0.0)
     Best = TunedParams{}; // Every probe failed: keep the safe defaults.
 
-  storeRecord(Fingerprint, Backend.name(), Best);
+  storeRecord(Fingerprint, SubRows, SubCols, Backend.name(), Best);
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    Memory[Fingerprint] = Best;
+    Memory[std::make_tuple(Fingerprint, SubRows, SubCols)] = Best;
   }
   return Best;
 }
@@ -212,7 +229,8 @@ Autotuner::TunedParams Autotuner::resolve(uint64_t Fingerprint,
                                           const ExecutionBackend &Backend,
                                           const CompiledStencil &Plan,
                                           int SubRows, int SubCols) {
-  if (std::optional<TunedParams> P = lookup(Fingerprint, Backend))
+  if (std::optional<TunedParams> P =
+          lookup(Fingerprint, Backend, SubRows, SubCols))
     return *P;
   return tune(Fingerprint, Backend, Plan, SubRows, SubCols);
 }

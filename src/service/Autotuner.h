@@ -6,36 +6,42 @@
 ///
 /// \file
 /// A small empirical autotuner for the execution knob a compiled plan
-/// leaves open: the time-tile depth (runtime/TimeTile.h).
+/// leaves open: the time-tile depth (runtime/TimeTile.h). Tiling is a
+/// cm2 cost-model extension — host backends run one step per exchange —
+/// so the service consults the tuner for cm2 (and sharded cm2) only.
 ///
-/// The tuner is keyed like the plan cache: per (plan fingerprint,
-/// machine). A cold key sweeps the candidate depths 1, 2, 4 and 8
-/// through the backend's timeOnly path and scores each by
-/// *per-timestep* cost read from that probe's own TimingReport (the
-/// run's measured wall clock for wall-clock backends, the simulated
-/// seconds for cm2), so jobs other workers run meanwhile cannot leak
-/// into a score. Depth k fuses k steps behind one exchange, so a fair
-/// comparison divides by k. The winner persists as a versioned text
-/// record beside the cached plan:
+/// The tuner is keyed per (plan fingerprint, subgrid shape, machine):
+/// the best depth moves with the subgrid (deep tiles amortize exchange
+/// startup on small subgrids, edge recompute dominates on large ones).
+/// A cold key sweeps the candidate depths 1, 2, 4 and 8 through the
+/// backend's timeOnly path and scores each by *per-timestep* cost read
+/// from that probe's own TimingReport (secondsPerIteration(): the
+/// simulated seconds for cm2), so jobs other workers run meanwhile
+/// cannot leak into a score. Depth k fuses k steps behind one exchange,
+/// so a fair comparison divides by k. The winner persists as a
+/// versioned text record beside the cached plan:
 ///
-///     <dir>/<fingerprint-hex>.tune
+///     <dir>/<fingerprint-hex>-<rows>x<cols>.tune
 ///
-///     cmcc-tune v2
+///     cmcc-tune v3
 ///     fingerprint <hex16>
+///     subgrid <rows>x<cols>
 ///     machine <rows>x<cols>@<mhz>
 ///     backend <name>
 ///     time_tile <k>
 ///     score_us <float>
 ///
-/// Records are replaced atomically (support/AtomicFile.h). v1 records,
-/// which also carried never-applied `threads` and `rows_per_tile`
-/// lines, are stale and re-swept.
+/// Records are replaced atomically (support/AtomicFile.h). Older
+/// versions are stale and re-swept: v2 records carried no subgrid, so
+/// the first shape tuned served every shape; v1 records also carried
+/// never-applied `threads` and `rows_per_tile` lines.
 /// Warm keys are served from memory, then disk — never re-swept
 /// (counted, so tests can assert the sweep ran exactly once). A record
 /// that is truncated, corrupt, stale-versioned, or stamped for a
-/// different machine/backend is a counted DiskReject and falls back to
-/// a fresh sweep — mirroring the plan cache's discipline that disk
-/// state can be lost or damaged but never change behavior silently.
+/// different subgrid/machine/backend is a counted DiskReject and falls
+/// back to a fresh sweep — mirroring the plan cache's discipline that
+/// disk state can be lost or damaged but never change behavior
+/// silently.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,10 +51,11 @@
 #include "cm2/MachineConfig.h"
 #include "runtime/Backend.h"
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <tuple>
 
 namespace cmcc {
 namespace obs {
@@ -58,12 +65,12 @@ class Registry;
 /// Chooses and remembers per-plan execution parameters.
 class Autotuner {
 public:
-  /// The tuned knobs for one (fingerprint, machine) key.
+  /// The tuned knobs for one (fingerprint, subgrid, machine) key.
   struct TunedParams {
     /// Chained timesteps fused behind one wide halo exchange.
     int TimeTile = 1;
-    /// The winner's per-timestep score in microseconds (host us for
-    /// wall-clock backends, simulated us for cm2).
+    /// The winner's per-timestep score in microseconds, from the
+    /// probe's secondsPerIteration() (simulated us for cm2).
     double ScoreUs = 0.0;
   };
 
@@ -89,11 +96,13 @@ public:
 
   Autotuner(const MachineConfig &Config, Options Opts);
 
-  /// The tuned parameters for \p Fingerprint without sweeping: memory,
-  /// then disk (a valid disk record is promoted into memory and counts
-  /// DiskHits). std::nullopt means no usable record exists yet.
+  /// The tuned parameters for \p Fingerprint over SubRows x SubCols
+  /// subgrids without sweeping: memory, then disk (a valid disk record
+  /// is promoted into memory and counts DiskHits). std::nullopt means
+  /// no usable record exists yet.
   std::optional<TunedParams> lookup(uint64_t Fingerprint,
-                                    const ExecutionBackend &Backend);
+                                    const ExecutionBackend &Backend,
+                                    int SubRows, int SubCols);
 
   /// Sweeps the candidate depths (clamped to the plan and subgrid) through
   /// \p Backend.timeOnly, picks the cheapest per-timestep depth, and
@@ -110,9 +119,11 @@ public:
 
   Counters counters() const;
 
-  /// The record path for \p Fingerprint under \p Dir (exposed so tests
-  /// can corrupt/truncate/stale records without path guessing).
-  static std::string recordPath(const std::string &Dir, uint64_t Fingerprint);
+  /// The record path for \p Fingerprint over SubRows x SubCols
+  /// subgrids under \p Dir (exposed so tests can corrupt/truncate/stale
+  /// records without path guessing).
+  static std::string recordPath(const std::string &Dir, uint64_t Fingerprint,
+                                int SubRows, int SubCols);
 
 private:
   /// "4x4@7" — the machine identity a record is valid for.
@@ -120,16 +131,18 @@ private:
   /// Bumps the mirrored obs counter \p Name when Options::Metrics is
   /// set; a no-op otherwise.
   void noteMetric(const char *Name);
-  std::optional<TunedParams> loadRecord(uint64_t Fingerprint,
+  std::optional<TunedParams> loadRecord(uint64_t Fingerprint, int SubRows,
+                                        int SubCols,
                                         const std::string &BackendName);
-  void storeRecord(uint64_t Fingerprint, const std::string &BackendName,
-                   const TunedParams &P);
+  void storeRecord(uint64_t Fingerprint, int SubRows, int SubCols,
+                   const std::string &BackendName, const TunedParams &P);
 
   MachineConfig Config;
   Options Opts;
 
   mutable std::mutex Mutex;
-  std::unordered_map<uint64_t, TunedParams> Memory;
+  /// By (fingerprint, SubRows, SubCols).
+  std::map<std::tuple<uint64_t, int, int>, TunedParams> Memory;
   Counters Counts;
 };
 

@@ -724,6 +724,10 @@ void StencilService::process(Job &J) {
 }
 
 int StencilService::effectiveTimeTile(Job &J, const CompiledStencil &Plan) {
+  // Host backends run one step per exchange (runtime/HostRun.h): no
+  // requested depth applies to them and there is nothing to tune.
+  if (Engine->reportsWallClock())
+    return 1;
   int SubRows = J.Request.SubRows;
   int SubCols = J.Request.SubCols;
   if (J.Request.Args && J.Request.Args->Result) {
@@ -732,9 +736,9 @@ int StencilService::effectiveTimeTile(Job &J, const CompiledStencil &Plan) {
   }
   int Want = J.Request.TimeTile > 0 ? J.Request.TimeTile : Opts.TimeTile;
   if (Want <= 0) {
-    // Autotuned: warm fingerprints reuse the recorded winner, cold ones
-    // sweep once (counted — tests pin "warm runs never re-sweep" on
-    // these counters).
+    // Autotuned: warm (fingerprint, subgrid) keys reuse the recorded
+    // winner, cold ones sweep once (counted — tests pin "warm runs
+    // never re-sweep" on these counters).
     Autotuner::TunedParams P =
         Tuner->resolve(J.Result.Fingerprint, *Engine, Plan, SubRows, SubCols);
     note(J, JobEvent::Autotuned, P.TimeTile);

@@ -127,10 +127,12 @@ public:
     int SubCols = 64;
     int Iterations = 1;
     /// Chained timesteps fused behind one wide halo exchange
-    /// (runtime/TimeTile.h). 0 defers to Options::TimeTile (the service
-    /// default, which may be autotuned); k >= 1 requests depth k. The
-    /// effective depth is always clamped to what the plan and subgrid
-    /// admit, and is identical across retries and the cm2 fallback.
+    /// (runtime/TimeTile.h), a cm2 cost-model extension. 0 defers to
+    /// Options::TimeTile (the service default, which may be autotuned);
+    /// k >= 1 requests depth k. The effective depth is always clamped
+    /// to what the plan and subgrid admit, is 1 on host backends (they
+    /// run one step per exchange), and is identical across retries and
+    /// the cm2 fallback.
     int TimeTile = 0;
   };
 
@@ -302,8 +304,10 @@ public:
     /// Default time-tile depth for jobs that do not set their own
     /// (JobRequest::TimeTile == 0): 1 = classic untiled execution,
     /// k > 1 = fixed depth k (clamped per plan/subgrid), 0 = consult
-    /// the autotuner per (fingerprint, machine) — cold fingerprints
-    /// sweep once, warm ones reuse the persisted winner.
+    /// the autotuner per (fingerprint, subgrid, machine) — cold keys
+    /// sweep once, warm ones reuse the persisted winner. Applies to the
+    /// cm2 backend only; host backends always run depth 1 and never
+    /// consult the tuner.
     int TimeTile = 1;
     /// Directory for persisted autotuner records; empty uses the plan
     /// cache's disk directory (records live beside the plans they
@@ -459,10 +463,11 @@ private:
   /// Runs the execute phase: deadline checks before each attempt,
   /// retry-with-backoff on transient failures, one-shot cm2 fallback.
   void execute(Job &J, const CompiledStencil &Plan);
-  /// Resolves the time-tile depth \p J executes with: request override,
-  /// service default, or the autotuner's winner — then clamps to the
-  /// plan and subgrid. Called once per job, before the attempt loop, so
-  /// retries and the fallback run the identical depth.
+  /// Resolves the time-tile depth \p J executes with: 1 on host
+  /// backends; otherwise the request override, service default, or the
+  /// autotuner's winner — then clamps to the plan and subgrid. Called
+  /// once per job, before the attempt loop, so retries and the fallback
+  /// run the identical depth.
   int effectiveTimeTile(Job &J, const CompiledStencil &Plan);
   void finish(Job &J, JobState Final);
   /// True (and counts + stamps the failure) when \p J is past its

@@ -657,9 +657,11 @@ ShardedBackend::runResolved(const CompiledStencil &Compiled,
 
   Run.Fingerprint = Fingerprint;
   Run.Iterations = RO.Iterations;
-  // Workers run the tiled chain locally: the partitioned exchange
+  // cm2 workers run the tiled chain locally: the partitioned exchange
   // already carries arbitrary border widths (and the extra coefficient
-  // exchanges) through the relay, which is size-agnostic.
+  // exchanges) through the relay, which is size-agnostic. Host inner
+  // backends refuse depths other than 1, and the refusal comes back
+  // non-transient.
   Run.TimeTile = RO.TimeTile;
   Run.SubRows = Resolved.Result->subRows();
   Run.SubCols = Resolved.Result->subCols();

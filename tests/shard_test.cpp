@@ -508,6 +508,18 @@ TEST_F(ShardProcessTest, NativeBitwiseAcrossShardCounts) {
                                 /*Iterations=*/2, /*Seed=*/0x9a71e);
 }
 
+TEST_F(ShardProcessTest, NjitBitwiseAcrossShardCounts) {
+  if (!isBackendAvailable("njit"))
+    GTEST_SKIP() << "no host toolchain for njit";
+  MachineConfig Config = MachineConfig::withNodeGrid(4, 4);
+  StencilSpec Spec = corneredSpec();
+  CompiledStencil Compiled = compileSpec(Config, Spec);
+  expectShardedMatchesUnsharded(Config, Spec, Compiled, "njit",
+                                {{1, 2}, {2, 2}, {4, 1}},
+                                /*SubRows=*/6, /*SubCols=*/7,
+                                /*Iterations=*/2, /*Seed=*/0x71e5a);
+}
+
 TEST_F(ShardProcessTest, CornerlessStencilMatchesUnshardedOnBothBackends) {
   // No diagonal taps: the skipped corner pads never cross the wire, and
   // the run still agrees bitwise (a leaked NaN would poison the sums).

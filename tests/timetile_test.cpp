@@ -5,25 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The contract of time-tiled execution: a run with TimeTile = k is
-/// functionally k *chained* timesteps of the stencil — step s's result
-/// feeds step s+1 — behind a single wide halo exchange, and the result
-/// must be BITWISE identical to the step-by-step program (k separate
-/// run() calls copying result back into the source between steps) on
-/// every backend:
+/// The contract of time-tiled execution, a cm2 cost-model extension: a
+/// run with TimeTile = k is functionally k *chained* timesteps of the
+/// stencil — step s's result feeds step s+1 — behind a single wide halo
+/// exchange, and the result must be BITWISE identical to the
+/// step-by-step program (k separate run() calls copying result back
+/// into the source between steps). cm2 replays owner regions so each
+/// intermediate pad cell runs the exact strip schedule its owner node
+/// runs — same FPU chains, same rounding, bit for bit.
 ///
-///   * cm2 replays owner regions so each intermediate pad cell runs the
-///     exact strip schedule its owner node runs — same FPU chains, same
-///     rounding, bit for bit;
-///   * native/njit arithmetic is position-independent per point, so the
-///     extended-rectangle scratch steps are trivially the same rounded
-///     float sequence.
+/// Host backends (native, njit, sharded native) run one step per
+/// exchange: they refuse k > 1 non-transiently, and the service never
+/// tiles or tunes them.
 ///
-/// The differential harness sweeps depth k in {1, 2, 3, 8}, all
-/// backends, shard grids 1x1 / 1x2 / 2x2, Circular and Zero boundaries,
-/// and armed halo.exchange / shard.* faults (a failed tiled run must be
-/// transient and leave the inputs untouched, so the retry reproduces
-/// the baseline bitwise).
+/// The differential harness sweeps depth k in {1, 2, 3, 8} on cm2 and
+/// on shard grids 1x1 / 1x2 / 2x2 of cm2, Circular and Zero boundaries,
+/// and armed halo.exchange / shard.* faults on every backend (a failed
+/// run must be transient and leave the inputs untouched, so the retry
+/// reproduces the baseline bitwise).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -272,33 +271,64 @@ TEST_F(TimeTileTest, ClampFindsTheDeepestLegalTile) {
   EXPECT_EQ(timetile::clampTimeTile(Cross, 0, 8, 8), 1);
 }
 
+/// Expects \p B to refuse depth \p K non-transiently on both run() and
+/// timeOnly(), then to serve a depth-1 run.
+void expectRefusesDepth(const ExecutionBackend &B, const MachineConfig &Config,
+                        const StencilSpec &Spec,
+                        const CompiledStencil &Compiled, int Sub, int K) {
+  BoundArrays Side(Config, Spec, Sub, Sub, 1);
+  RunOptions RO;
+  RO.TimeTile = K;
+  Expected<TimingReport> R = B.run(Compiled, Side.Args, RO);
+  ASSERT_FALSE(R);
+  EXPECT_FALSE(R.error().isTransient()) << R.error().message();
+  Expected<TimingReport> T = B.timeOnly(Compiled, Sub, Sub, RO);
+  ASSERT_FALSE(T);
+  EXPECT_FALSE(T.error().isTransient()) << T.error().message();
+  Expected<TimingReport> One = B.run(Compiled, Side.Args, 1);
+  EXPECT_TRUE(One) << One.error().message();
+}
+
 TEST_F(TimeTileTest, BackendsRejectInvalidDepthsUpFront) {
   MachineConfig Config = MachineConfig::withNodeGrid(2, 2);
   StencilSpec Spec = corneredSpec();
   CompiledStencil Compiled = compileSpec(Config, Spec);
-  for (const char *Name : {"cm2", "native"}) {
+  {
+    // cm2 tiles, but not past the subgrid: border 8 > 6-wide subgrid.
+    SCOPED_TRACE("cm2");
+    Cm2Backend Cm2(Config);
+    expectRefusesDepth(Cm2, Config, Spec, Compiled, 6, 4);
+  }
+
+  // Host backends run one step per exchange and refuse any deeper tile,
+  // even one the subgrid would admit.
+  for (const char *Name : {"native", "njit"}) {
+    if (std::string_view(Name) == "njit" && !isBackendAvailable("njit"))
+      continue;
     SCOPED_TRACE(Name);
     std::unique_ptr<ExecutionBackend> B = createBackend(Name, Config);
     ASSERT_NE(B, nullptr);
-    BoundArrays Side(Config, Spec, 6, 6, 1);
-    RunOptions RO;
-    RO.TimeTile = 4; // border 8 > 6-wide subgrid
-    Expected<TimingReport> R = B->run(Compiled, Side.Args, RO);
-    ASSERT_FALSE(R);
-    EXPECT_FALSE(R.error().isTransient());
-    Expected<TimingReport> T = B->timeOnly(Compiled, 6, 6, RO);
-    EXPECT_FALSE(T);
+    expectRefusesDepth(*B, Config, Spec, Compiled, 8, 2);
   }
+
+  // A sharded host fleet forwards its workers' refusal as
+  // non-transient, and the fleet still serves depth 1 afterwards.
+  SCOPED_TRACE("sharded native 1x2");
+  shard::ShardedBackend::Options O;
+  O.ShardRows = 1;
+  O.ShardCols = 2;
+  O.InnerBackend = "native";
+  shard::ShardedBackend Fleet(Config, std::move(O));
+  ASSERT_TRUE(Fleet.valid());
+  expectRefusesDepth(Fleet, Config, Spec, Compiled, 8, 2);
 }
 
 //===----------------------------------------------------------------------===//
-// The differential sweep: tiled == stepwise, bitwise, every backend
+// The differential sweep: tiled == stepwise, bitwise
 //===----------------------------------------------------------------------===//
 
 void sweepBackend(const char *Name) {
   MachineConfig Config = MachineConfig::withNodeGrid(2, 2);
-  if (std::string_view(Name) == "njit" && !isBackendAvailable("njit"))
-    GTEST_SKIP() << "no host toolchain for njit";
   std::unique_ptr<ExecutionBackend> Backend = createBackend(Name, Config);
   ASSERT_NE(Backend, nullptr);
   uint64_t Seed = 0x7113d;
@@ -317,10 +347,6 @@ void sweepBackend(const char *Name) {
 }
 
 TEST_F(TimeTileTest, Cm2TiledBitwiseEqualsStepwise) { sweepBackend("cm2"); }
-TEST_F(TimeTileTest, NativeTiledBitwiseEqualsStepwise) {
-  sweepBackend("native");
-}
-TEST_F(TimeTileTest, NjitTiledBitwiseEqualsStepwise) { sweepBackend("njit"); }
 
 TEST_F(TimeTileTest, IterationsMultiplyTimingNotResults) {
   // Iterations stays the timing multiplier of the fused k-step unit:
@@ -420,14 +446,6 @@ void sweepSharded(const char *Inner) {
 }
 
 TEST_F(TimeTileTest, ShardedCm2TiledBitwiseAcrossGrids) { sweepSharded("cm2"); }
-TEST_F(TimeTileTest, ShardedNativeTiledBitwiseAcrossGrids) {
-  sweepSharded("native");
-}
-TEST_F(TimeTileTest, ShardedNjitTiledBitwiseAcrossGrids) {
-  if (!isBackendAvailable("njit"))
-    GTEST_SKIP() << "no host toolchain for njit";
-  sweepSharded("njit");
-}
 
 //===----------------------------------------------------------------------===//
 // Faults: a lost exchange fails transiently; the retry is bitwise
@@ -437,7 +455,6 @@ TEST_F(TimeTileTest, ExchangeFaultRetryPreservesBitwiseEquality) {
   MachineConfig Config = MachineConfig::withNodeGrid(2, 2);
   StencilSpec Spec = corneredSpec();
   CompiledStencil Compiled = compileSpec(Config, Spec);
-  const int K = 3;
 
   for (const char *Name : {"cm2", "native", "njit"}) {
     if (std::string_view(Name) == "njit" && !isBackendAvailable("njit"))
@@ -445,11 +462,13 @@ TEST_F(TimeTileTest, ExchangeFaultRetryPreservesBitwiseEquality) {
     SCOPED_TRACE(Name);
     std::unique_ptr<ExecutionBackend> B = createBackend(Name, Config);
     ASSERT_NE(B, nullptr);
+    // cm2 tiles three steps; host backends run one step per exchange.
+    const int K = std::string_view(Name) == "cm2" ? 3 : 1;
     Array2D Want = stepwiseBaseline(*B, Compiled, Config, 12, 12, K, 0xfa11);
 
-    // Arm the exchange site: the tiled run's single wide exchange (or
-    // one of its coefficient exchanges) is lost. The run must fail
-    // transient and leave the sources untouched for the retry.
+    // Arm the exchange site: the run's source exchange (or one of its
+    // coefficient exchanges) is lost. The run must fail transient and
+    // leave the sources untouched for the retry.
     fault::Registry::process().reset();
     fault::Rule Lost;
     Lost.Site = "halo.exchange";
@@ -565,7 +584,7 @@ TEST_F(TimeTileTest, AutotunerSweepsOnceThenServesWarm) {
   AO.Dir = Dir.Path;
 
   Autotuner Tuner(Config, AO);
-  EXPECT_FALSE(Tuner.lookup(Fp, *B).has_value());
+  EXPECT_FALSE(Tuner.lookup(Fp, *B, 16, 16).has_value());
 
   // Cold key: one counted miss, one counted sweep, a legal depth out.
   Autotuner::TunedParams P = Tuner.resolve(Fp, *B, Compiled, 16, 16);
@@ -589,12 +608,14 @@ TEST_F(TimeTileTest, AutotunerSweepsOnceThenServesWarm) {
   // The winner persisted; a fresh tuner (cold memory) loads it from
   // disk without sweeping and promotes it — the second lookup is a
   // memory hit.
-  ASSERT_TRUE(std::filesystem::exists(Autotuner::recordPath(Dir.Path, Fp)));
+  ASSERT_TRUE(
+      std::filesystem::exists(Autotuner::recordPath(Dir.Path, Fp, 16, 16)));
   Autotuner Fresh(Config, AO);
-  std::optional<Autotuner::TunedParams> FromDisk = Fresh.lookup(Fp, *B);
+  std::optional<Autotuner::TunedParams> FromDisk =
+      Fresh.lookup(Fp, *B, 16, 16);
   ASSERT_TRUE(FromDisk.has_value());
   EXPECT_EQ(FromDisk->TimeTile, P.TimeTile);
-  EXPECT_TRUE(Fresh.lookup(Fp, *B).has_value());
+  EXPECT_TRUE(Fresh.lookup(Fp, *B, 16, 16).has_value());
   Autotuner::Counters FC = Fresh.counters();
   EXPECT_EQ(FC.DiskHits, 1);
   EXPECT_EQ(FC.Hits, 1);
@@ -612,7 +633,7 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
   const uint64_t Fp = 0x0123456789abcdefull;
   Autotuner::Options AO;
   AO.Dir = Dir.Path;
-  const std::string Path = Autotuner::recordPath(Dir.Path, Fp);
+  const std::string Path = Autotuner::recordPath(Dir.Path, Fp, 16, 16);
 
   // Seed one genuine record, then damage copies of it.
   {
@@ -620,7 +641,7 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
     Seeder.tune(Fp, *B, Compiled, 16, 16);
   }
   const std::string Good = readFile(Path);
-  ASSERT_NE(Good.find("cmcc-tune v2"), std::string::npos);
+  ASSERT_NE(Good.find("cmcc-tune v3"), std::string::npos);
   ASSERT_NE(Good.find("time_tile"), std::string::npos);
 
   struct Damage {
@@ -636,8 +657,12 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
       {"future key", Good + "voodoo 9\n"},
       {"wrong fingerprint",
        withLine(Good, "fingerprint", "fingerprint 00000000deadbeef")},
-      {"v1 record", withLine(Good, "cmcc-tune", "cmcc-tune v1") +
+      {"v1 record", withLine(withLine(Good, "cmcc-tune", "cmcc-tune v1"),
+                             "subgrid", "") +
                         "threads 0\nrows_per_tile 32\n"},
+      {"v2 record", withLine(withLine(Good, "cmcc-tune", "cmcc-tune v2"),
+                             "subgrid", "")},
+      {"foreign subgrid", withLine(Good, "subgrid", "subgrid 8x8")},
   };
 
   for (const Damage &D : Cases) {
@@ -647,7 +672,7 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
     // Damage never half-applies: the record is a counted reject, the
     // cold resolve sweeps afresh...
     Autotuner Tuner(Config, AO);
-    EXPECT_FALSE(Tuner.lookup(Fp, *B).has_value());
+    EXPECT_FALSE(Tuner.lookup(Fp, *B, 16, 16).has_value());
     Autotuner::Counters C = Tuner.counters();
     EXPECT_EQ(C.DiskRejects, 1);
     EXPECT_EQ(C.DiskHits, 0);
@@ -658,7 +683,7 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
 
     // ...and the sweep heals the disk: a third tuner trusts it again.
     Autotuner Healed(Config, AO);
-    EXPECT_TRUE(Healed.lookup(Fp, *B).has_value());
+    EXPECT_TRUE(Healed.lookup(Fp, *B, 16, 16).has_value());
     EXPECT_EQ(Healed.counters().DiskHits, 1);
     EXPECT_EQ(Healed.counters().DiskRejects, 0);
   }
@@ -666,7 +691,7 @@ TEST_F(TimeTileTest, AutotunerRejectsDamagedRecordsAndResweeps) {
   // A missing record is a plain miss, not a reject.
   std::filesystem::remove(Path);
   Autotuner Tuner(Config, AO);
-  EXPECT_FALSE(Tuner.lookup(Fp, *B).has_value());
+  EXPECT_FALSE(Tuner.lookup(Fp, *B, 16, 16).has_value());
   EXPECT_EQ(Tuner.counters().DiskRejects, 0);
 }
 
@@ -680,7 +705,7 @@ TEST_F(TimeTileTest, AutotunerReplacesRecordsAtomically) {
   const uint64_t Fp = 0x00a70a1cfeed0001ull;
   Autotuner::Options AO;
   AO.Dir = Dir.Path;
-  const std::string Path = Autotuner::recordPath(Dir.Path, Fp);
+  const std::string Path = Autotuner::recordPath(Dir.Path, Fp, 16, 16);
 
   Autotuner Tuner(Config, AO);
   Tuner.tune(Fp, *B, Compiled, 16, 16);
@@ -693,7 +718,7 @@ TEST_F(TimeTileTest, AutotunerReplacesRecordsAtomically) {
   struct stat After;
   ASSERT_EQ(::stat(Path.c_str(), &After), 0);
   EXPECT_NE(After.st_ino, Before.st_ino);
-  EXPECT_NE(readFile(Path).find("cmcc-tune v2"), std::string::npos);
+  EXPECT_NE(readFile(Path).find("cmcc-tune v3"), std::string::npos);
 
   for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
     EXPECT_EQ(E.path().filename().string().find(".tmp"), std::string::npos)
@@ -752,6 +777,35 @@ TEST_F(TimeTileTest, AutotunerScoresEachDepthFromItsOwnRun) {
   EXPECT_DOUBLE_EQ(P.ScoreUs, 100.0);
 }
 
+TEST_F(TimeTileTest, AutotunerKeysBySubgridShape) {
+  // The best depth moves with the subgrid: on the scalar cross a deep
+  // tile wins at 8x8, where exchange startup dominates a step, and
+  // loses at 128x128, where edge recompute does. One tuner asked for
+  // both shapes sweeps each, and each shape keeps its own record.
+  MachineConfig Config = MachineConfig::testMachine16();
+  CompiledStencil Compiled = compileSpec(Config, scalarCrossSpec());
+  Cm2Backend Cm2(Config);
+  ScratchDir Dir("shape");
+  Autotuner::Options AO;
+  AO.Dir = Dir.Path;
+  const uint64_t Fp = 0x5ba9e5ba9e000001ull;
+
+  Autotuner Tuner(Config, AO);
+  EXPECT_EQ(Tuner.resolve(Fp, Cm2, Compiled, 8, 8).TimeTile, 8);
+  EXPECT_EQ(Tuner.resolve(Fp, Cm2, Compiled, 128, 128).TimeTile, 1);
+  EXPECT_EQ(Tuner.counters().Sweeps, 2);
+
+  Autotuner Fresh(Config, AO);
+  std::optional<Autotuner::TunedParams> Small = Fresh.lookup(Fp, Cm2, 8, 8);
+  std::optional<Autotuner::TunedParams> Large =
+      Fresh.lookup(Fp, Cm2, 128, 128);
+  ASSERT_TRUE(Small.has_value());
+  ASSERT_TRUE(Large.has_value());
+  EXPECT_EQ(Small->TimeTile, 8);
+  EXPECT_EQ(Large->TimeTile, 1);
+  EXPECT_EQ(Fresh.counters().DiskHits, 2);
+}
+
 TEST_F(TimeTileTest, ServiceAutotunesOncePerFingerprint) {
   // Options.TimeTile = 0 hands the choice to the autotuner: the first
   // job of a fingerprint sweeps (counted), every later job reuses the
@@ -789,7 +843,8 @@ TEST_F(TimeTileTest, ServiceAutotunesOncePerFingerprint) {
   EXPECT_EQ(S.TuneHits, 3);
   EXPECT_EQ(S.TuneDiskRejects, 0);
   EXPECT_EQ(S.JobsFailed, 0);
-  EXPECT_TRUE(std::filesystem::exists(Autotuner::recordPath(Dir.Path, Fp)));
+  EXPECT_TRUE(
+      std::filesystem::exists(Autotuner::recordPath(Dir.Path, Fp, 16, 16)));
 
   // A fixed service depth pins every job; a per-request depth overrides
   // it. Neither touches the tuner.
@@ -805,6 +860,49 @@ TEST_F(TimeTileTest, ServiceAutotunesOncePerFingerprint) {
   ASSERT_TRUE(R2.Ok) << R2.Message;
   EXPECT_EQ(R2.TimeTileUsed, 2);
   EXPECT_EQ(Pinned.stats().TuneSweeps, 0);
+}
+
+TEST_F(TimeTileTest, HostServiceNeverTilesOrTunes) {
+  // Host backends run one step per exchange: an autotuned service
+  // default and a per-request depth both run depth 1, the tuner never
+  // sweeps, and no .tune record lands beside the plans.
+  MachineConfig Config = MachineConfig::withNodeGrid(2, 2);
+  ScratchDir Dir("host_service");
+  StencilService::Options Opts;
+  Opts.Workers = 1;
+  Opts.Backend = "native";
+  Opts.TimeTile = 0;
+  Opts.TuneDir = Dir.Path;
+  StencilService Service(Config, Opts);
+
+  StencilService::JobRequest Auto;
+  Auto.Kind = StencilService::SourceKind::FortranAssignment;
+  Auto.Source = "R = C1*CSHIFT(X,1,-1) + C2*X";
+  Auto.SubRows = 16;
+  Auto.SubCols = 16;
+  StencilService::JobRequest Deep = Auto;
+  Deep.TimeTile = 3;
+
+  for (const StencilService::JobRequest &Req : {Auto, Deep}) {
+    SCOPED_TRACE(Req.TimeTile);
+    const StencilService::JobId Id = Service.submit(Req);
+    StencilService::JobResult R = Service.wait(Id);
+    ASSERT_TRUE(R.Ok) << R.Message;
+    EXPECT_EQ(R.TimeTileUsed, 1);
+    std::optional<StencilService::JobTimeline> T = Service.timeline(Id);
+    ASSERT_TRUE(T.has_value());
+    for (const StencilService::TimelineEntry &E : T->Events)
+      EXPECT_NE(E.Event, StencilService::JobEvent::Autotuned);
+  }
+
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.TuneSweeps, 0);
+  EXPECT_EQ(S.TuneMisses, 0);
+  EXPECT_EQ(S.JobsFailed, 0);
+  if (std::filesystem::exists(Dir.Path)) {
+    for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+      EXPECT_NE(E.path().extension(), ".tune") << E.path();
+  }
 }
 
 } // namespace

@@ -70,11 +70,13 @@
 ///   --faults=SPEC          arm the fault registry, CMCC_FAULTS syntax
 ///                          (site:rate[:count[:delay_ms]],...)
 ///   --fault-seed=N         seed of the deterministic fire pattern
-///   --time-tile=auto|N     timesteps fused behind each halo exchange:
-///                          1 = classic (default), N > 1 a fixed depth
-///                          (clamped per plan), auto = the autotuner
-///                          sweeps once per (fingerprint, machine) and
-///                          persists the winner beside the plan cache
+///   --time-tile=auto|N     timesteps fused behind each halo exchange, a
+///                          cm2-model extension: 1 = classic (default),
+///                          N > 1 a fixed depth (clamped per plan), auto
+///                          = the autotuner sweeps once per (fingerprint,
+///                          subgrid, machine) and persists the winner
+///                          beside the plan cache. Host backends (native,
+///                          njit) run one step per exchange and ignore it
 ///   --slow-ms=N            jobs slower than N ms are flagged slow:
 ///                          counted, flight-recorded, and (when tracing)
 ///                          the trace file is flushed at their finish
@@ -144,8 +146,8 @@ struct ServeOptions {
   std::string Faults;
   uint64_t FaultSeed = 0;
   long SlowJobMs = 0;
-  /// Time-tile depth jobs run with: 1 = classic, k > 1 fixed, 0 = the
-  /// autotuner picks per (fingerprint, machine).
+  /// Time-tile depth cm2 jobs run with: 1 = classic, k > 1 fixed, 0 =
+  /// the autotuner picks per (fingerprint, subgrid, machine).
   int TimeTile = 1;
   std::string FlightDumpPath;
   std::vector<net::Endpoint> Listen;
@@ -170,7 +172,8 @@ void printUsage() {
                "         --queue-cap=N --admission=block|reject\n"
                "         --deadline-ms=N --max-retries=N\n"
                "         --faults=SPEC --fault-seed=N\n"
-               "         --time-tile=auto|N\n"
+               "         --time-tile=auto|N (cm2 only; host backends "
+               "run depth 1)\n"
                "         --slow-ms=N --flight-dump=PATH\n"
                "         --json --metrics-json <file> --trace <file> --quiet\n"
                "manifest lines:\n"
@@ -329,7 +332,7 @@ bool parseArguments(int Argc, char **Argv, ServeOptions &Opts) {
       }
     } else if (const char *V = Value("--time-tile=")) {
       if (std::strcmp(V, "auto") == 0) {
-        Opts.TimeTile = 0; // Autotuned per (fingerprint, machine).
+        Opts.TimeTile = 0; // Autotuned per (fingerprint, subgrid, machine).
       } else {
         Opts.TimeTile = std::atoi(V);
         if (Opts.TimeTile <= 0) {
