@@ -12,15 +12,15 @@
 /// array syntax to plain accelerator loops.
 ///
 /// Everything around the loop nest is the shared host run driver
-/// (runtime/HostRun.h): the §5.1 exchange, the row-tiled thread-pool
-/// dispatch, the one-step-per-exchange rule and the wall-clock
-/// TimingReport. This backend
-/// contributes only the generic row kernel, which interprets the spec
-/// tap by tap behind the driver's row-kernel ABI.
+/// (runtime/HostRun.h): the §5.1 exchange, the owner-computes
+/// thread-pool loop, the one-step-per-exchange rule and the wall-clock
+/// TimingReport. This backend contributes only the generic row kernel,
+/// which interprets the spec behind the driver's row-kernel ABI,
+/// accumulating every tap of a block of columns in registers.
 ///
 /// Numerics are kept aligned with the simulated FPU on purpose:
 ///
-///   * halos come from the same exchangeHalos protocol (wraparound /
+///   * halos hold the cells the §5.1 protocol delivers (wraparound /
 ///     zero-fill / poisoned skipped corners identical);
 ///   * each result point accumulates `0.0f + term0 + term1 + ...` in
 ///     single precision with each term rounded separately (the file is

@@ -16,9 +16,9 @@
 /// it over every subsequent run through a cache keyed by the plan.
 ///
 /// Everything around the kernel is the host run driver it shares with
-/// the native backend (runtime/HostRun.h): the §5.1 halo-exchange
-/// protocol, the row-tiled thread-pool dispatch, the one-step-per-
-/// exchange rule and the wall-clock TimingReport. The dlopen'd kernel
+/// the native backend (runtime/HostRun.h): the §5.1 halo exchange, the
+/// owner-computes thread-pool loop, the one-step-per-exchange rule and
+/// the wall-clock TimingReport. The dlopen'd kernel
 /// is called through the driver's row-kernel ABI directly. The kernel
 /// computes the identical sequence of rounded float operations (emitted
 /// and compiled with -ffp-contract=off), so njit results are bitwise

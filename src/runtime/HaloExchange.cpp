@@ -82,6 +82,72 @@ std::vector<Array2D> cmcc::exchangeHalos(const DistributedArray &A,
   return std::move(Copy).takeStorage();
 }
 
+HaloFill cmcc::beginHaloFill(const DistributedArray &A, int Border,
+                             BoundaryKind BoundaryDim1,
+                             BoundaryKind BoundaryDim2, bool FetchCorners) {
+  static obs::Counter &Exchanges =
+      obs::Registry::process().counter("halo.exchanges");
+  static obs::Counter &Bytes = obs::Registry::process().counter("halo.bytes");
+  assert(Border >= 0 && Border <= A.subRows() && Border <= A.subCols() &&
+         "border width exceeds the subgrid");
+  Exchanges.add(1);
+  // The bytes every node's fill will write, as the protocol counts them.
+  const long ShipCols = FetchCorners ? A.subCols() + 2 * Border : A.subCols();
+  Bytes.add(static_cast<long>(A.reserveMargin(Border)) +
+            static_cast<long>(A.grid().nodeCount()) * 2 * Border *
+                (A.subRows() + ShipCols) * static_cast<long>(sizeof(float)));
+  return {&A, Border, BoundaryDim1, BoundaryDim2, FetchCorners};
+}
+
+void HaloFill::fillNode(int Id) const {
+  const NodeGrid &Grid = A->grid();
+  const int SR = A->subRows(), SC = A->subCols(), B = Border;
+  const long Pitch = A->pitch();
+  const NodeCoord Here = Grid.coordOf(Id);
+  poisonUnfilled(A->halo(Here, A->margin()), A->margin(), B, FetchCorners);
+  if (B == 0)
+    return;
+  // A neighbour's core at (row, col) offsets, or null (zeros) past a
+  // Zero boundary. The grid is a torus, so a Circular edge wraps.
+  const bool ZeroWE = BoundaryDim2 == BoundaryKind::Zero;
+  const bool ZeroNS = BoundaryDim1 == BoundaryKind::Zero;
+  const bool AtWest = Here.Col == 0, AtEast = Here.Col == Grid.cols() - 1;
+  const bool AtNorth = Here.Row == 0, AtSouth = Here.Row == Grid.rows() - 1;
+  auto Core = [&](int DRow, int DCol, bool Zero, int Row,
+                  int Col) -> const float * {
+    if (Zero)
+      return nullptr;
+    NodeCoord N = Here;
+    if (DRow)
+      N = Grid.neighbor(N, DRow < 0 ? Direction::North : Direction::South);
+    if (DCol)
+      N = Grid.neighbor(N, DCol < 0 ? Direction::West : Direction::East);
+    return A->subgrid(N).row(Row) + Col;
+  };
+  float *Top = A->halo(Here, B).row(0);
+  float *Mid = Top + B * Pitch;
+  float *Bottom = Mid + SR * Pitch;
+  const bool ZeroW = ZeroWE && AtWest, ZeroE = ZeroWE && AtEast;
+  const bool ZeroN = ZeroNS && AtNorth, ZeroS = ZeroNS && AtSouth;
+  copyBand(Mid, Pitch, Core(0, -1, ZeroW, 0, SC - B), Pitch, SR, B);
+  copyBand(Mid + B + SC, Pitch, Core(0, 1, ZeroE, 0, 0), Pitch, SR, B);
+  copyBand(Top + B, Pitch, Core(-1, 0, ZeroN, SR - B, 0), Pitch, B, SC);
+  copyBand(Bottom + B, Pitch, Core(1, 0, ZeroS, 0, 0), Pitch, B, SC);
+  if (!FetchCorners)
+    return;
+  // Corners straight from the diagonal neighbour: the two-hop step 3
+  // relays exactly these cells, or zeros when either hop crosses a Zero
+  // boundary.
+  copyBand(Top, Pitch, Core(-1, -1, ZeroN || ZeroW, SR - B, SC - B), Pitch,
+           B, B);
+  copyBand(Top + B + SC, Pitch, Core(-1, 1, ZeroN || ZeroE, SR - B, 0),
+           Pitch, B, B);
+  copyBand(Bottom, Pitch, Core(1, -1, ZeroS || ZeroW, 0, SC - B), Pitch, B,
+           B);
+  copyBand(Bottom + B + SC, Pitch, Core(1, 1, ZeroS || ZeroE, 0, 0), Pitch,
+           B, B);
+}
+
 Error cmcc::exchangeHalosPartitioned(const DistributedArray &A,
                                      const PartitionDomain &Domain,
                                      HaloTransport *Transport,

@@ -30,12 +30,20 @@
 /// touches data it did not fetch is caught whatever ran before.
 ///
 /// Every node performs the same steps simultaneously (the machine is
-/// synchronous SIMD); the host runs steps 2 and 3 node by node on the
-/// calling thread, since they move O(perimeter) data and a pool
-/// dispatch costs more than the copies. The result is bit-identical to
-/// the direct global-torus construction in buildPaddedSubgrid — a
-/// property the tests enforce — but the data really moves neighbor to
-/// neighbor here.
+/// synchronous SIMD); exchangeHalosPartitioned runs steps 2 and 3 node
+/// by node on the calling thread, since they move O(perimeter) data and
+/// a pool dispatch costs more than the copies. The result is
+/// bit-identical to the direct global-torus construction in
+/// buildPaddedSubgrid — a property the tests enforce — but the data
+/// really moves neighbor to neighbor here. The cm2 Executor and shard
+/// workers run this protocol.
+///
+/// In-process host runs are owner-computes instead (runtime/HostRun.h):
+/// beginHaloFill does step 1 and the counting serially, then each
+/// node's owner writes that node's whole margin (HaloFill::fillNode)
+/// just before computing it. In shared memory the corner a two-hop
+/// relay would deliver is read straight from the diagonal neighbor's
+/// core, bitwise the same cells.
 ///
 /// The protocol also runs *partitioned*: a shard owning only a block of
 /// the node grid (runtime/Partition.h) performs the same steps over its
@@ -94,6 +102,34 @@ Error exchangeHalosPartitioned(const DistributedArray &A,
                                HaloTransport *Transport, int SourceIndex,
                                int Border, BoundaryKind BoundaryDim1,
                                BoundaryKind BoundaryDim2, bool FetchCorners);
+
+/// One in-place exchange of an array over the whole in-process node
+/// grid, written node by node by each node's owner (beginHaloFill).
+struct HaloFill {
+  const DistributedArray *A = nullptr;
+  int Border = 0;
+  BoundaryKind BoundaryDim1 = BoundaryKind::Circular;
+  BoundaryKind BoundaryDim2 = BoundaryKind::Circular;
+  bool FetchCorners = false;
+
+  /// Writes node \p Id's margin and nothing else: the W/E/N/S bands from
+  /// the neighbours' cores, the corners straight from the diagonal
+  /// neighbour's core (bitwise equal to step 3's two-hop relay in shared
+  /// memory), the Zero boundaries, and NaN in skipped corners and in
+  /// the ring beyond the border. A.halo(Node, Border) is then exactly
+  /// what exchangeHalosPartitioned leaves. It reads only cores, which no
+  /// fill writes, so fills of different nodes run concurrently with no
+  /// barrier between them or the computes that read them.
+  void fillNode(int Id) const;
+};
+
+/// The serial prologue of an owner-filled exchange of \p A at \p Border
+/// over the whole in-process grid: grows the margin if needed and adds
+/// to `halo.exchanges` and `halo.bytes` what exchangeHalosPartitioned
+/// would. The caller holds A.haloLock() until every fill is done.
+HaloFill beginHaloFill(const DistributedArray &A, int Border,
+                       BoundaryKind BoundaryDim1, BoundaryKind BoundaryDim2,
+                       bool FetchCorners);
 
 } // namespace cmcc
 

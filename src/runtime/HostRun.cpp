@@ -16,19 +16,10 @@
 
 using namespace cmcc;
 
-namespace {
-
-/// Rows per parallel tile. Small enough to load-balance the pool even
-/// on one node's subgrid, large enough that a tile's rows amortize the
-/// dispatch.
-constexpr int RowsPerTile = 32;
-
-} // namespace
-
 Expected<ExchangedOperands>
 cmcc::exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
                        const ResolvedStencilArguments &Resolved,
-                       int TimeTile) {
+                       int TimeTile, bool OwnerFills) {
   const int Radius = Spec.borderWidths().maximum();
   const bool FetchCorners =
       TimeTile > 1 || Spec.needsCornerData() || !Opts.AllowCornerSkip;
@@ -71,6 +62,12 @@ cmcc::exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
   // the first role reads; with corners fetched (always, when tiled),
   // the narrower role's window of the wide exchange holds exactly what
   // its own exchange would.
+  struct Exchange {
+    const DistributedArray *A;
+    int TransportIndex;
+    int Border;
+  };
+  std::vector<Exchange> Exchanges;
   for (size_t I = 0; I != Roles.size(); ++I) {
     const DistributedArray *A = Roles[I].A;
     if (std::any_of(Roles.begin(), Roles.begin() + I,
@@ -80,14 +77,22 @@ cmcc::exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
     for (size_t J = I; J != Roles.size(); ++J)
       if (Roles[J].A == A)
         Border = std::max(Border, Roles[J].Border);
-    // Probed per exchange, not per run: any one of a run's exchanges
-    // can be lost.
+    Exchanges.push_back({A, static_cast<int>(I), Border});
+  }
+  // Probed per exchange, not per run: any one of a run's exchanges can
+  // be lost. Every probe runs before the first margin or band is
+  // written.
+  for (size_t I = 0; I != Exchanges.size(); ++I)
     if (fault::probe("halo.exchange"))
       return fault::injectedFault("halo.exchange");
-    if (Error E = exchangeHalosPartitioned(
-            *A, Domain, Opts.Transport, static_cast<int>(I), Border,
-            Spec.BoundaryDim1, Spec.BoundaryDim2, FetchCorners))
-      return E;
+  for (const Exchange &E : Exchanges) {
+    if (OwnerFills && !Opts.Transport)
+      X.Fills.push_back(beginHaloFill(*E.A, E.Border, Spec.BoundaryDim1,
+                                      Spec.BoundaryDim2, FetchCorners));
+    else if (Error Err = exchangeHalosPartitioned(
+                 *E.A, Domain, Opts.Transport, E.TransportIndex, E.Border,
+                 Spec.BoundaryDim1, Spec.BoundaryDim2, FetchCorners))
+      return Err;
   }
 
   auto Views = [&](const Role &R) {
@@ -126,58 +131,67 @@ Expected<TimingReport> cmcc::runOnHost(const MachineConfig &Config,
 
   const auto Start = std::chrono::steady_clock::now();
 
+  // In process, only the serial prologue runs here and each owner fills
+  // its nodes' bands below; a shard worker runs the whole protocol.
   Expected<ExchangedOperands> X = [&] {
     obs::Span ExchangeSpan(Spans.Exchange);
-    return exchangeOperands(Opts, Spec, Resolved, /*TimeTile=*/1);
+    return exchangeOperands(Opts, Spec, Resolved, /*TimeTile=*/1,
+                            /*OwnerFills=*/true);
   }();
   if (!X)
     return X.error();
 
-  {
-    obs::Span ComputeSpan(Spans.Compute);
-    const size_t TapCount = Spec.Taps.size();
-    const int Nodes = Grid.nodeCount();
-    // Per-tap operands, TapCount slots per node, resolved once per node
-    // before the tiles run; slots a tap does not use stay null.
-    const size_t Slots = static_cast<size_t>(Nodes) * TapCount;
-    std::vector<const float *> TapSrc(Slots, nullptr);
-    std::vector<long> TapSrcStride(Slots, 0);
-    std::vector<const float *> TapCoeff(Slots, nullptr);
-    std::vector<long> TapCoeffStride(Slots, 0);
-    for (int Id = 0; Id != Nodes; ++Id) {
-      for (size_t I = 0; I != TapCount; ++I) {
-        const size_t Slot = static_cast<size_t>(Id) * TapCount + I;
-        const Tap &T = Spec.Taps[I];
-        if (T.HasData) {
-          const ConstSubgridRef Padded =
-              X->Sources[static_cast<size_t>(T.SourceIndex)]
-                        [static_cast<size_t>(Id)];
-          TapSrcStride[Slot] = Padded.pitch();
-          TapSrc[Slot] = Padded.data() + (Radius + T.At.Dy) * Padded.pitch() +
-                         Radius + T.At.Dx;
-        }
-        if (const DistributedArray *C = Resolved.TapCoefficients[I]) {
-          const ConstSubgridRef Sub = C->subgrid(Grid.coordOf(Id));
-          TapCoeffStride[Slot] = Sub.pitch();
-          TapCoeff[Slot] = Sub.data();
-        }
+  const size_t TapCount = Spec.Taps.size();
+  const int Nodes = Grid.nodeCount();
+  // Per-tap operands, TapCount slots per node, resolved once per node
+  // before the owners run; slots a tap does not use stay null.
+  const size_t Slots = static_cast<size_t>(Nodes) * TapCount;
+  std::vector<const float *> TapSrc(Slots, nullptr);
+  std::vector<long> TapSrcStride(Slots, 0);
+  std::vector<const float *> TapCoeff(Slots, nullptr);
+  std::vector<long> TapCoeffStride(Slots, 0);
+  for (int Id = 0; Id != Nodes; ++Id) {
+    for (size_t I = 0; I != TapCount; ++I) {
+      const size_t Slot = static_cast<size_t>(Id) * TapCount + I;
+      const Tap &T = Spec.Taps[I];
+      if (T.HasData) {
+        const ConstSubgridRef Padded =
+            X->Sources[static_cast<size_t>(T.SourceIndex)]
+                      [static_cast<size_t>(Id)];
+        TapSrcStride[Slot] = Padded.pitch();
+        TapSrc[Slot] = Padded.data() + (Radius + T.At.Dy) * Padded.pitch() +
+                       Radius + T.At.Dx;
+      }
+      if (const DistributedArray *C = Resolved.TapCoefficients[I]) {
+        const ConstSubgridRef Sub = C->subgrid(Grid.coordOf(Id));
+        TapCoeffStride[Slot] = Sub.pitch();
+        TapCoeff[Slot] = Sub.data();
       }
     }
+  }
 
-    const int TilesPerNode = (SubRows + RowsPerTile - 1) / RowsPerTile;
-    // Tiles are disjoint row bands of the result, so any thread count
-    // computes identical bits.
-    Pool->parallelFor(Nodes * TilesPerNode, [&](int Task) {
-      const int Id = Task / TilesPerNode;
-      const int RowBegin = (Task % TilesPerNode) * RowsPerTile;
-      const int RowEnd = std::min(SubRows, RowBegin + RowsPerTile);
+  // Owner computes: each pool participant fills, then computes, the same
+  // contiguous block of nodes on every run (ThreadPool::parallelChunks),
+  // so a node's subgrid stays in one core's cache from step to step.
+  // Fills write only their own node's margin and read only cores, and
+  // the result aliases no source, so no owner waits for another. Nodes
+  // are disjoint, so any thread count computes identical bits.
+  Pool->parallelChunks(Nodes, [&](int Begin, int End) {
+    if (!X->Fills.empty()) {
+      obs::Span ExchangeSpan(Spans.Exchange);
+      for (const HaloFill &F : X->Fills)
+        for (int Id = Begin; Id != End; ++Id)
+          F.fillNode(Id);
+    }
+    obs::Span ComputeSpan(Spans.Compute);
+    for (int Id = Begin; Id != End; ++Id) {
       const SubgridRef O = Resolved.Result->subgrid(Grid.coordOf(Id));
       const size_t Slot = static_cast<size_t>(Id) * TapCount;
       Kernel(O.data(), O.pitch(), TapSrc.data() + Slot,
              TapSrcStride.data() + Slot, TapCoeff.data() + Slot,
-             TapCoeffStride.data() + Slot, RowBegin, RowEnd, SubCols);
-    });
-  }
+             TapCoeffStride.data() + Slot, 0, SubRows, SubCols);
+    }
+  });
 
   const double Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)

@@ -9,10 +9,21 @@
 /// allocates halo storage, exchanges borders and strip-mines the
 /// subgrid, and only the microcode it drives changes per stencil (§5).
 /// Here runOnHost() is that library for native and njit: it leases the
-/// pool, runs the §5.1 exchange, cuts every node's subgrid into row
-/// tiles and hands each tile to a row kernel. The row kernel is the
-/// only part that differs: native passes its generic tap-loop
-/// interpreter, njit its dlopen'd plan-specialized kernel.
+/// pool, runs the §5.1 exchange and hands every node's rows to a row
+/// kernel. The row kernel is the only part that differs: native passes
+/// its generic tap-loop interpreter, njit its dlopen'd plan-specialized
+/// kernel.
+///
+/// The run is owner-computes, as on the CM-2, where every node fetches
+/// its own borders and then computes its own subgrid: after a serial
+/// prologue (halo locks, fault probes, margin growth, counters) one
+/// pool loop gives each participant a fixed contiguous block of nodes
+/// (ThreadPool::parallelChunks), whose halo bands it fills in place and
+/// then computes. The same node lands on the same thread on every run,
+/// so its data stays in that core's cache. A shard worker's run
+/// (HostRunOptions::Transport) exchanges block-edge bands with other
+/// processes, so it runs the three-step protocol in the prologue and
+/// shares only the compute loop.
 ///
 /// Host runs take one timestep per exchange. On the host an exchange is
 /// a memcpy, so fusing k steps behind one wide exchange (the paper's
@@ -30,6 +41,7 @@
 #define CMCC_RUNTIME_HOSTRUN_H
 
 #include "runtime/Backend.h"
+#include "runtime/HaloExchange.h"
 #include "runtime/HaloTransport.h"
 #include "runtime/Partition.h"
 #include <functional>
@@ -96,29 +108,40 @@ struct ExchangedOperands {
   /// Parallel to StencilSpec::Taps: the tap's index into Coefficients,
   /// or -1.
   std::vector<int> TapCoefficient;
+  /// Owner-filled runs only: the exchanges whose bands are not written
+  /// yet. Each node's owner calls fillNode for every entry before it
+  /// reads the node's Sources.
+  std::vector<HaloFill> Fills;
 };
 
 /// The exchange prologue of every run: takes the halo locks, then the
-/// `halo.exchange` fault probe per exchange, corner fetching (always
+/// `halo.exchange` fault probe per exchange (all before the first
+/// exchange writes anything), corner fetching (always
 /// when tiled — intermediate side-pad values feed corner-adjacent cells
 /// of later steps), the in-process or partitioned protocol, and — when
 /// \p TimeTile > 1 — the coefficient pads, with transport source
 /// indices following the real sources. An array bound to several roles
 /// is exchanged once, at the widest border they read. The order is
 /// deterministic across shard workers. Fails before any result is
-/// written, so a retry starts from untouched sources.
+/// written, so a retry starts from untouched sources. With
+/// \p OwnerFills and no transport no band is written: each exchange is
+/// returned in Fills for the nodes' owners to write.
 Expected<ExchangedOperands>
 exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
-                 const ResolvedStencilArguments &Resolved, int TimeTile);
+                 const ResolvedStencilArguments &Resolved, int TimeTile,
+                 bool OwnerFills = false);
 
-/// Span names under which one host backend's phases are traced.
+/// Span names under which one host backend's phases are traced. Each
+/// pool participant traces its own fills under Exchange and its own
+/// kernel calls under Compute, so a trace splits halo from compute per
+/// thread; the serial prologue is an Exchange span on the caller.
 struct HostRunSpans {
   const char *Exchange;
   const char *Compute;
 };
 
 /// Runs one timestep of \p Spec over \p Resolved on the host with
-/// \p Kernel computing every row tile, and reports measured wall-clock
+/// \p Kernel computing every node's rows, and reports measured wall-clock
 /// seconds in the host field of the TimingReport (the simulated cycle
 /// breakdown is zero). RO.TimeTile other than 1 is refused,
 /// non-transiently, before anything is exchanged.

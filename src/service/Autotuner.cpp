@@ -232,7 +232,34 @@ Autotuner::TunedParams Autotuner::resolve(uint64_t Fingerprint,
   if (std::optional<TunedParams> P =
           lookup(Fingerprint, Backend, SubRows, SubCols))
     return *P;
-  return tune(Fingerprint, Backend, Plan, SubRows, SubCols);
+
+  // Cold: sweep, unless a sweep of this key is in flight; then wait for
+  // it. tune() remembers its winner under Mutex before the owner
+  // unregisters, so a waiter, like a caller arriving later, reads it
+  // from Memory.
+  const auto Key = std::make_tuple(Fingerprint, SubRows, SubCols);
+  std::unique_lock<std::mutex> Lock(Mutex);
+  const bool Waited = InFlight.count(Key) != 0;
+  if (Waited) {
+    ++Counts.Coalesced;
+    SweepDone.wait(Lock, [&] { return InFlight.count(Key) == 0; });
+  }
+  if (auto It = Memory.find(Key); It != Memory.end()) {
+    const TunedParams Remembered = It->second;
+    if (!Waited)
+      ++Counts.Hits;
+    Lock.unlock();
+    noteMetric(Waited ? "service.tune_coalesced" : "service.tune_hits");
+    return Remembered;
+  }
+  InFlight.insert(Key);
+  Lock.unlock();
+  const TunedParams Winner = tune(Fingerprint, Backend, Plan, SubRows, SubCols);
+  Lock.lock();
+  InFlight.erase(Key);
+  Lock.unlock();
+  SweepDone.notify_all();
+  return Winner;
 }
 
 Autotuner::Counters Autotuner::counters() const {

@@ -50,10 +50,12 @@
 
 #include "cm2/MachineConfig.h"
 #include "runtime/Backend.h"
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -92,6 +94,9 @@ public:
     long Misses = 0;      ///< No usable record anywhere: a sweep ran.
     long DiskRejects = 0; ///< Record present but corrupt/stale/foreign.
     long Sweeps = 0;      ///< Full candidate sweeps performed.
+    /// resolve() calls that waited on another caller's sweep of the
+    /// same key instead of sweeping.
+    long Coalesced = 0;
   };
 
   Autotuner(const MachineConfig &Config, Options Opts);
@@ -114,6 +119,10 @@ public:
                    const CompiledStencil &Plan, int SubRows, int SubCols);
 
   /// lookup() falling back to tune() — the warm path never sweeps.
+  /// Concurrent cold calls for one (fingerprint, subgrid) key coalesce:
+  /// the first sweeps, the others wait for its winner, so a key sweeps
+  /// once however many jobs arrive together (a sweep whose probes all
+  /// fail still counts as one and yields the defaults).
   TunedParams resolve(uint64_t Fingerprint, const ExecutionBackend &Backend,
                       const CompiledStencil &Plan, int SubRows, int SubCols);
 
@@ -143,6 +152,9 @@ private:
   mutable std::mutex Mutex;
   /// By (fingerprint, SubRows, SubCols).
   std::map<std::tuple<uint64_t, int, int>, TunedParams> Memory;
+  /// Keys resolve() is sweeping now; SweepDone fires as each leaves.
+  std::set<std::tuple<uint64_t, int, int>> InFlight;
+  std::condition_variable SweepDone;
   Counters Counts;
 };
 

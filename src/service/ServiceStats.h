@@ -64,7 +64,7 @@ struct ServiceStats {
   long FrontEndRuns = 0;      ///< Parse+recognize passes actually performed.
   long SourceMemoHits = 0;    ///< Source text resolved without the front end.
   long CompilesPerformed = 0; ///< Full recognition+planning+verification runs.
-  long CompilesCoalesced = 0; ///< Jobs that waited on another job's compile.
+  long CompilesCoalesced = 0; ///< Jobs that took another job's compile.
   PlanCache::Counters Cache;
 
   //===--- Latency and throughput -----------------------------------------===//

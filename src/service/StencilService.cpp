@@ -606,7 +606,10 @@ StencilService::resolvePlan(Job &J, const std::optional<StencilSpec> &Spec,
   // Miss: join an in-flight compile of this fingerprint or become its
   // owner. The recheck under InFlightMutex closes the window where an
   // owner has inserted into the cache but not yet unregistered — without
-  // it a second worker could compile the same plan twice.
+  // it a second worker could compile the same plan twice. A job the
+  // recheck serves missed only because it raced that compile, so it
+  // counts as coalesced onto it (its lookup already counted the miss):
+  // every job is exactly one of a cache hit, a coalesce or a compile.
   std::shared_ptr<InFlightCompile> IF;
   bool Owner = false;
   {
@@ -615,8 +618,9 @@ StencilService::resolvePlan(Job &J, const std::optional<StencilSpec> &Spec,
     if (It != InFlight.end()) {
       IF = It->second;
     } else if (std::shared_ptr<const CompiledStencil> Plan = Cache.peek(Fp)) {
-      J.Result.CacheHit = true;
-      note(J, JobEvent::CacheHit);
+      CompilesCoalesced.add(1);
+      J.Result.Coalesced = true;
+      note(J, JobEvent::Coalesced);
       return Plan;
     } else {
       IF = std::make_shared<InFlightCompile>();

@@ -145,8 +145,9 @@ public:
     uint64_t Fingerprint = 0;
     /// The plan came out of the cache (memory or disk tier).
     bool CacheHit = false;
-    /// The job waited on another job's in-flight compile of the same
-    /// fingerprint instead of compiling itself.
+    /// The job took another job's compile of the same fingerprint
+    /// instead of compiling itself: it waited on the compile in flight,
+    /// or missed the cache just before that compile inserted its plan.
     bool Coalesced = false;
     /// Host wall-clock of plan resolution (front end + cache + compile).
     double CompileSeconds = 0.0;
@@ -176,7 +177,7 @@ public:
     Queued,           ///< Admitted onto the FIFO queue.
     Dequeued,         ///< A worker picked the job up.
     CacheHit,         ///< Plan came out of the cache.
-    Coalesced,        ///< Parked on another job's in-flight compile.
+    Coalesced,        ///< Took another job's compile (JobResult::Coalesced).
     CompileBegin,     ///< This job owns the compile.
     CompileEnd,       ///< Compile finished (Detail: 1 ok, 0 failed).
     ExecuteAttempt,   ///< Execute attempt began (Detail: 1-based attempt).

@@ -43,7 +43,7 @@ ThreadPool::ThreadPool(int Threads)
   int Spawn = Threads < 1 ? 0 : Threads - 1;
   Workers.reserve(Spawn);
   for (int I = 0; I != Spawn; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
+    Workers.emplace_back([this, I] { workerLoop(I + 1); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -56,16 +56,15 @@ ThreadPool::~ThreadPool() {
     W.join();
 }
 
-void ThreadPool::runIndices() {
-  for (;;) {
-    int I = NextIndex.fetch_add(1, std::memory_order_relaxed);
-    if (I >= EndIndex)
-      return;
-    (*Body)(I);
-  }
+void ThreadPool::runChunk(int Participant) {
+  const long T = threadCount();
+  const int Begin = static_cast<int>(Participant * EndIndex / T);
+  const int End = static_cast<int>((Participant + 1) * EndIndex / T);
+  if (Begin != End)
+    (*Body)(Begin, End);
 }
 
-void ThreadPool::workerLoop() {
+void ThreadPool::workerLoop(int Participant) {
   long SeenGeneration = 0;
   for (;;) {
     {
@@ -79,8 +78,8 @@ void ThreadPool::workerLoop() {
     }
     // Adopt the submitter's trace context for this loop's spans.
     obs::ScopedTraceContext TraceScope(LoopCtx.TraceId, LoopCtx.SpanId);
-    // Wake-up latency: dispatch notify to this worker pulling its
-    // first index (the queueing delay of the pool's "task").
+    // Wake-up latency: dispatch notify to this worker starting its
+    // chunk (the queueing delay of the pool's "task").
     TaskWaitUs.observe(
         static_cast<double>(obs::detail::nowNs() -
                             DispatchNs.load(std::memory_order_relaxed)) /
@@ -88,7 +87,7 @@ void ThreadPool::workerLoop() {
     InsideLoopBody = true;
     {
       CMCC_SPAN("threadpool.worker_run");
-      runIndices();
+      runChunk(Participant);
     }
     InsideLoopBody = false;
     {
@@ -100,6 +99,14 @@ void ThreadPool::workerLoop() {
 }
 
 void ThreadPool::parallelFor(int N, const std::function<void(int)> &Fn) {
+  parallelChunks(N, [&Fn](int Begin, int End) {
+    for (int I = Begin; I != End; ++I)
+      Fn(I);
+  });
+}
+
+void ThreadPool::parallelChunks(int N,
+                                const std::function<void(int, int)> &Fn) {
   if (N <= 0)
     return;
   LoopsTotal.add(1);
@@ -110,8 +117,7 @@ void ThreadPool::parallelFor(int N, const std::function<void(int)> &Fn) {
   // bits, so the degraded mode must not change results.
   if (Workers.empty() || N == 1 || InsideLoopBody ||
       fault::probe("threadpool.dispatch")) {
-    for (int I = 0; I != N; ++I)
-      Fn(I);
+    Fn(0, N);
     return;
   }
   // Loops queued on the pool (waiting on CallerMutex) plus the one
@@ -126,14 +132,13 @@ void ThreadPool::parallelFor(int N, const std::function<void(int)> &Fn) {
     LoopCtx = obs::traceEnabled() ? obs::currentTraceContext()
                                   : obs::TraceContext();
     EndIndex = N;
-    NextIndex.store(0, std::memory_order_relaxed);
     Active = static_cast<int>(Workers.size());
     ++Generation;
     DispatchNs.store(obs::detail::nowNs(), std::memory_order_relaxed);
   }
   WorkReady.notify_all();
   InsideLoopBody = true;
-  runIndices();
+  runChunk(0);
   InsideLoopBody = false;
   std::unique_lock<std::mutex> Lock(Mutex);
   WorkDone.wait(Lock, [&] { return Active == 0; });

@@ -10,10 +10,17 @@
 /// being modeled is synchronous SIMD: after the halo exchange every
 /// node's half-strips are independent, so the functional loop over nodes
 /// is embarrassingly parallel on the host. The pool deliberately has no
-/// work stealing and no futures: one parallelFor at a time, indices
-/// handed out by an atomic counter, the caller participating as a
-/// worker. That is all the executor needs, and it keeps the engine easy
-/// to reason about (and to run under -fsanitize=thread).
+/// work stealing and no futures: one loop at a time, the caller
+/// participating as a worker, and every participant running a fixed
+/// contiguous chunk of the index range — of T participants, participant
+/// t (the caller is 0, worker w is w + 1) always runs [t*N/T,
+/// (t+1)*N/T). Every loop the engine runs does uniform work per index
+/// (a node), so static chunks balance as well as a shared counter
+/// would, and they make the index -> thread map a fixed property of the
+/// pool: a node's data stays in the same core's cache from one run to
+/// the next (the CM-2's owner-computes rule, where each node owns its
+/// subgrid). That is all the engine needs, and it keeps it easy to
+/// reason about (and to run under -fsanitize=thread).
 ///
 /// Parallelism must never change results: every index writes disjoint
 /// data, and each index's work is internally sequential, so the output
@@ -53,10 +60,17 @@ public:
   /// included).
   int threadCount() const { return static_cast<int>(Workers.size()) + 1; }
 
-  /// Runs Fn(0) ... Fn(N-1), in unspecified order, and returns when all
-  /// calls have finished. The calling thread executes its share.
-  /// Concurrent calls from different threads are serialized; a call from
-  /// inside a loop body runs inline (no nested fan-out, no deadlock).
+  /// Runs Fn(Begin, End) once per participant with a nonempty chunk of
+  /// [0, N) — participant t's chunk is [t*N/T, (t+1)*N/T) of T =
+  /// threadCount() — and returns when all calls have finished. The
+  /// calling thread runs chunk 0. Concurrent calls from different
+  /// threads are serialized. A one-thread pool, a one-index loop, a call
+  /// from inside a loop body (no nested fan-out, no deadlock) and an
+  /// injected `threadpool.dispatch` fault run Fn(0, N) inline.
+  void parallelChunks(int N, const std::function<void(int, int)> &Fn);
+
+  /// Runs Fn(0) ... Fn(N-1) through parallelChunks: each index on its
+  /// chunk's participant, in ascending order within a chunk.
   void parallelFor(int N, const std::function<void(int)> &Fn);
 
   /// The process-wide pool the executor uses: lazily constructed on
@@ -99,9 +113,10 @@ public:
   static int leasedPoolCount();
 
 private:
-  void workerLoop();
-  /// Pulls indices until the current loop is exhausted.
-  void runIndices();
+  /// The loop of worker \p Participant (1-based: the caller is 0).
+  void workerLoop(int Participant);
+  /// Runs participant \p Participant's chunk of the current loop.
+  void runChunk(int Participant);
 
   std::vector<std::thread> Workers;
 
@@ -111,12 +126,11 @@ private:
   /// Serializes concurrent parallelFor callers.
   std::mutex CallerMutex;
 
-  const std::function<void(int)> *Body = nullptr;
+  const std::function<void(int, int)> *Body = nullptr;
   /// The submitting thread's trace context, captured per loop (under
   /// Mutex, like Body) so worker spans nest under the caller's span and
   /// carry the job's trace id instead of appearing as orphan roots.
   obs::TraceContext LoopCtx;
-  std::atomic<int> NextIndex{0};
   int EndIndex = 0;
   /// When the current loop was handed to the workers; each worker's
   /// wake-up latency against it lands in the task-wait histogram.

@@ -29,6 +29,7 @@
 #include "service/StencilService.h"
 #include "stencil/PatternLibrary.h"
 #include "stencil/Recognizer.h"
+#include "support/FaultInjection.h"
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -506,6 +507,72 @@ TEST(StencilServiceTest, ConcurrentSameFingerprintCompilesExactlyOnce) {
   // was the compile.
   EXPECT_EQ(S.Cache.Hits + S.CompilesCoalesced + S.CompilesPerformed,
             Clients * JobsPerClient);
+}
+
+TEST(StencilServiceTest, RecheckHitCountsAsCoalesced) {
+  // Drives the window between a job's cache miss and its recheck under
+  // the in-flight lock. Job A's lookup reads a damaged disk entry behind
+  // a one-shot latency fault, so A sleeps between opening the file and
+  // counting its miss. Meanwhile job B misses, compiles, inserts and
+  // unregisters. A's recheck then finds B's plan in memory: A coalesced
+  // onto B's compile, and every job is counted exactly once.
+  MachineConfig M = machine();
+  StencilService::JobRequest Req;
+  Req.Kind = StencilService::SourceKind::FortranAssignment;
+  Req.Source = "R = C1*CSHIFT(X,1,-1) + C2*CSHIFT(X,2,1) + C3*X";
+  Req.SubRows = 16;
+  Req.SubCols = 16;
+  uint64_t Fp = 0;
+  {
+    StencilService Probe(M, StencilService::Options{});
+    StencilService::JobResult R = Probe.wait(Probe.submit(Req));
+    ASSERT_TRUE(R.Ok) << R.Message;
+    Fp = R.Fingerprint;
+  }
+  ScratchDir Dir("recheck");
+  std::filesystem::create_directories(Dir.Path);
+  std::ofstream(Dir.Path + "/" + fingerprintHex(Fp) + ".cmccode")
+      << "not a plan\n";
+
+  constexpr long SleepMs = 1500;
+  fault::Registry &Faults = fault::Registry::process();
+  Faults.reset();
+  fault::Rule Stall;
+  Stall.Site = "plancache.disk_read";
+  Stall.MaxFires = 1;
+  Stall.Kind = fault::Action::Delay;
+  Stall.DelayMs = SleepMs;
+  Faults.arm(Stall);
+
+  StencilService::Options Opts;
+  Opts.Workers = 2;
+  Opts.Cache.DiskDir = Dir.Path;
+  StencilService Service(M, Opts);
+  const StencilService::JobId A = Service.submit(Req);
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (Faults.fires("plancache.disk_read") == 0 &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto Asleep = std::chrono::steady_clock::now();
+  StencilService::JobResult RB = Service.wait(Service.submit(Req));
+  const auto BDone = std::chrono::steady_clock::now();
+  StencilService::JobResult RA = Service.wait(A);
+  Faults.reset();
+
+  ASSERT_LT(BDone - Asleep, std::chrono::milliseconds(SleepMs))
+      << "job B must finish while job A sleeps for the window to open";
+  ASSERT_TRUE(RA.Ok) << RA.Message;
+  ASSERT_TRUE(RB.Ok) << RB.Message;
+  EXPECT_FALSE(RB.CacheHit || RB.Coalesced) << "job B compiles";
+  EXPECT_TRUE(RA.Coalesced);
+  EXPECT_FALSE(RA.CacheHit);
+  ServiceStats S = Service.stats();
+  EXPECT_EQ(S.CompilesPerformed, 1);
+  EXPECT_EQ(S.CompilesCoalesced, 1);
+  EXPECT_EQ(S.Cache.Hits, 0);
+  EXPECT_EQ(S.Cache.Misses, 2);
+  EXPECT_EQ(S.Cache.Hits + S.CompilesCoalesced + S.CompilesPerformed, 2);
 }
 
 TEST(StencilServiceTest, ConcurrentDistinctPatternsCompileOncePerPattern) {

@@ -37,6 +37,8 @@
 #include "shard/ShardedBackend.h"
 #include "stencil/PatternLibrary.h"
 #include "support/FaultInjection.h"
+#include <barrier>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -47,6 +49,7 @@
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
+#include <thread>
 #include <vector>
 
 using namespace cmcc;
@@ -775,6 +778,48 @@ TEST_F(TimeTileTest, AutotunerScoresEachDepthFromItsOwnRun) {
                                         16, 16);
   EXPECT_EQ(P.TimeTile, 1);
   EXPECT_DOUBLE_EQ(P.ScoreUs, 100.0);
+}
+
+/// cm2, with every timeOnly probe held for a few milliseconds: long
+/// enough that callers released together all arrive during a sweep.
+class SlowProbeBackend : public Cm2Backend {
+public:
+  using Cm2Backend::Cm2Backend;
+  Expected<TimingReport> timeOnly(const CompiledStencil &Compiled, int SubRows,
+                                  int SubCols,
+                                  const RunOptions &Opts) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return Cm2Backend::timeOnly(Compiled, SubRows, SubCols, Opts);
+  }
+};
+
+TEST_F(TimeTileTest, AutotunerCoalescesConcurrentColdResolves) {
+  // Eight jobs of one cold key, released together: exactly one sweeps,
+  // the rest wait for its winner (or, arriving after it, hit memory),
+  // and every caller gets the same depth.
+  MachineConfig Config = MachineConfig::testMachine16();
+  CompiledStencil Compiled = compileSpec(Config, scalarCrossSpec());
+  SlowProbeBackend Slow(Config);
+  Autotuner Tuner(Config, Autotuner::Options{});
+  const uint64_t Fp = 0xc0a1e5cec0a1e5ceull;
+  constexpr int Callers = 8;
+  std::barrier Start(Callers);
+  std::vector<int> Depths(Callers, 0);
+  std::vector<std::thread> Threads;
+  for (int I = 0; I != Callers; ++I)
+    Threads.emplace_back([&, I] {
+      Start.arrive_and_wait();
+      Depths[I] = Tuner.resolve(Fp, Slow, Compiled, 8, 8).TimeTile;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  const Autotuner::Counters C = Tuner.counters();
+  EXPECT_EQ(C.Sweeps, 1);
+  EXPECT_EQ(C.Misses, 1);
+  EXPECT_EQ(C.Coalesced + C.Hits, Callers - 1);
+  EXPECT_GE(C.Coalesced, 1);
+  for (int D : Depths)
+    EXPECT_EQ(D, 8);
 }
 
 TEST_F(TimeTileTest, AutotunerKeysBySubgridShape) {

@@ -13,9 +13,9 @@ set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 BUILD=${1:-"$ROOT/build-asan"}
-TESTS="haloexchange_test runtime_test executor_test backend_equivalence_test \
-timetile_test shard_test pool_lease_test net_server_test net_protocol_test \
-crc32c_test"
+TESTS="haloexchange_test owner_computes_test runtime_test executor_test \
+backend_equivalence_test timetile_test shard_test pool_lease_test \
+net_server_test net_protocol_test crc32c_test"
 
 cmake -B "$BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
