@@ -26,6 +26,7 @@
 
 #include "net/Protocol.h"
 #include "net/Server.h"
+#include "support/DefaultInitAllocator.h"
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -75,7 +76,8 @@ public:
   /// One response frame, header decoded, payload raw.
   struct RawResponse {
     FrameHeader Header;
-    std::vector<uint8_t> Payload;
+    /// Sized for the read without zeroing what the read overwrites.
+    ByteBuffer Payload;
   };
 
   /// Reads the next response frame (blocking). Fails on EOF, a socket

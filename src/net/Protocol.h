@@ -24,6 +24,7 @@
 #define CMCC_NET_PROTOCOL_H
 
 #include "net/Wire.h"
+#include "runtime/DistributedArray.h"
 #include "service/StencilService.h"
 #include <cstdint>
 #include <string>
@@ -41,8 +42,21 @@ struct GridPayload {
   std::vector<float> Data; ///< Row-major, Rows*Cols elements.
 };
 
-/// The grid codec.
+/// A grid decoded in place: Rows x Cols row-major floats at Bytes,
+/// inside the payload it was decoded from and valid as long as that is,
+/// at whatever byte alignment the payload puts them. A view exists only
+/// once the grid's CRC32C has matched and its dimensions describe
+/// exactly the floats that arrived.
+struct GridView {
+  std::string Name;
+  uint32_t Rows = 0;
+  uint32_t Cols = 0;
+  const uint8_t *Bytes = nullptr;
+};
+
+/// The grid codec. The owning decode copies the view's floats out.
 void encodeGrid(ByteWriter &W, const GridPayload &G);
+bool decodeGrid(ByteReader &R, GridView &G);
 bool decodeGrid(ByteReader &R, GridPayload &G);
 
 //===--- Hello ------------------------------------------------------------===//
@@ -62,12 +76,13 @@ struct HelloResponse {
 
 //===--- Submit -----------------------------------------------------------===//
 
-/// A StencilService::JobRequest on the wire. Tenant travels in the
-/// frame header, not here. When Grids is empty the job is timing-only
-/// for SubRows x SubCols; otherwise Grids[0] is the source array and
-/// ResultName names the output, with coefficient / extra-source arrays
-/// following (Role tells the server where each one binds).
-struct SubmitRequest {
+/// A StencilService::JobRequest on the wire, apart from its grids.
+/// Tenant travels in the frame header, not here. When a submit carries
+/// no grids the job is timing-only for SubRows x SubCols; otherwise the
+/// first grid is the source array and ResultName names the output, with
+/// coefficient / extra-source arrays following (Role tells the server
+/// where each one binds).
+struct SubmitFields {
   uint8_t Kind = 0; ///< StencilService::SourceKind as its integer value.
   std::string Source;
   uint64_t Fingerprint = 0;
@@ -76,15 +91,29 @@ struct SubmitRequest {
   uint32_t Iterations = 1;
   std::string ResultName; ///< Empty for timing-only jobs.
   enum class Role : uint8_t { Source = 0, Coefficient = 1, ExtraSource = 2 };
+  /// Client-minted trace context, after the grids. Zero means "not
+  /// traced".
+  uint64_t TraceId = 0;
+  uint64_t ParentSpan = 0;
+};
+
+/// A submit as a client builds it: each grid owns its floats.
+struct SubmitRequest : SubmitFields {
   struct BoundGrid {
     Role Kind = Role::Source;
     GridPayload Grid;
   };
   std::vector<BoundGrid> Grids;
-  /// Client-minted trace context, after the grids. Zero means "not
-  /// traced".
-  uint64_t TraceId = 0;
-  uint64_t ParentSpan = 0;
+};
+
+/// A submit as the server decodes it: each grid is a checked view into
+/// the frame, so the server copies it once, into the job's array.
+struct SubmitView : SubmitFields {
+  struct BoundGrid {
+    Role Kind = Role::Source;
+    GridView Grid;
+  };
+  std::vector<BoundGrid> Grids;
 };
 
 struct SubmitResponse {
@@ -216,6 +245,11 @@ std::vector<uint8_t> encode(const PollRequest &M);
 std::vector<uint8_t> encode(const PollResponse &M);
 std::vector<uint8_t> encode(const WaitRequest &M);
 std::vector<uint8_t> encode(const WaitResponse &M);
+/// encode(M) with the result grid gathered from \p Result straight into
+/// the payload, named M.Result.Name; M.Result's own shape and floats
+/// are not read.
+std::vector<uint8_t> encode(const WaitResponse &M,
+                            const DistributedArray &Result);
 std::vector<uint8_t> encode(const CancelRequest &M);
 std::vector<uint8_t> encode(const CancelResponse &M);
 std::vector<uint8_t> encode(const StatsRequest &M);
@@ -228,7 +262,8 @@ std::vector<uint8_t> encode(const DumpResponse &M);
 
 Expected<HelloRequest> decodeHelloRequest(const uint8_t *Data, size_t Len);
 Expected<HelloResponse> decodeHelloResponse(const uint8_t *Data, size_t Len);
-Expected<SubmitRequest> decodeSubmitRequest(const uint8_t *Data, size_t Len);
+/// The views point into \p Data.
+Expected<SubmitView> decodeSubmitRequest(const uint8_t *Data, size_t Len);
 Expected<SubmitResponse> decodeSubmitResponse(const uint8_t *Data, size_t Len);
 Expected<PollRequest> decodePollRequest(const uint8_t *Data, size_t Len);
 Expected<PollResponse> decodePollResponse(const uint8_t *Data, size_t Len);

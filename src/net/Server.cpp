@@ -681,7 +681,7 @@ void Server::dispatch(Conn &C, const FrameHeader &H, const uint8_t *Payload) {
 
 void Server::handleSubmit(Conn &C, const FrameHeader &H,
                           const uint8_t *Payload) {
-  Expected<SubmitRequest> M = decodeSubmitRequest(Payload, H.PayloadBytes);
+  Expected<SubmitView> M = decodeSubmitRequest(Payload, H.PayloadBytes);
   if (!M)
     return sendError(C, H, ErrBadRequest, M.error().message());
   if (Draining.load(std::memory_order_acquire))
@@ -722,15 +722,15 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
     Req.SubRows = static_cast<int>(M->SubRows);
     Req.SubCols = static_cast<int>(M->SubCols);
   } else {
-    if (M->Grids[0].Kind != SubmitRequest::Role::Source)
+    if (M->Grids[0].Kind != SubmitView::Role::Source)
       return sendError(C, H, ErrBadRequest,
                        "the first grid must be the source array");
     J.WantResult = true;
     J.Args = std::make_unique<StencilArguments>();
     int SubRows = 0, SubCols = 0;
     for (size_t I = 0; I != M->Grids.size(); ++I) {
-      const SubmitRequest::BoundGrid &B = M->Grids[I];
-      const GridPayload &G = B.Grid;
+      const SubmitView::BoundGrid &B = M->Grids[I];
+      const GridView &G = B.Grid;
       if (G.Rows == 0 || G.Cols == 0 ||
           G.Rows % static_cast<uint32_t>(Grid.rows()) != 0 ||
           G.Cols % static_cast<uint32_t>(Grid.cols()) != 0)
@@ -740,22 +740,23 @@ void Server::handleSubmit(Conn &C, const FrameHeader &H,
                              ") does not decompose over the " +
                              std::to_string(Grid.rows()) + "x" +
                              std::to_string(Grid.cols()) + " node grid");
+      // The view holds Rows * Cols checked floats: copy them straight
+      // from the frame into the job's array.
       auto A = std::make_unique<DistributedArray>(
           Grid, static_cast<int>(G.Rows) / Grid.rows(),
-          static_cast<int>(G.Cols) / Grid.cols());
-      A->scatter(G.Data.data()); // decodeGrid checked Rows * Cols floats.
+          static_cast<int>(G.Cols) / Grid.cols(), G.Bytes);
       switch (B.Kind) {
-      case SubmitRequest::Role::Source:
+      case SubmitView::Role::Source:
         if (J.Args->Source)
           return sendError(C, H, ErrBadRequest, "duplicate source grid");
         J.Args->Source = A.get();
         SubRows = A->subRows();
         SubCols = A->subCols();
         break;
-      case SubmitRequest::Role::Coefficient:
+      case SubmitView::Role::Coefficient:
         J.Args->Coefficients[G.Name] = A.get();
         break;
-      case SubmitRequest::Role::ExtraSource:
+      case SubmitView::Role::ExtraSource:
         J.Args->ExtraSources[G.Name] = A.get();
         break;
       }
@@ -830,16 +831,14 @@ void Server::deliverResult(Conn &C, JobRec &J, uint64_t RequestId) {
   R.Retries = static_cast<uint32_t>(Res.Retries);
   R.FellBack = Res.FellBack ? 1 : 0;
   R.setReport(Res.Report);
-  if (Res.Ok && J.WantResult && J.Args && J.Args->Result) {
-    const DistributedArray &Out = *J.Args->Result;
+  const bool WithResult = Res.Ok && J.WantResult && J.Args && J.Args->Result;
+  if (WithResult) {
     R.HasResult = 1;
     R.Result.Name = J.ResultName;
-    R.Result.Rows = static_cast<uint32_t>(Out.globalRows());
-    R.Result.Cols = static_cast<uint32_t>(Out.globalCols());
-    R.Result.Data.resize(static_cast<size_t>(R.Result.Rows) * R.Result.Cols);
-    Out.gather(R.Result.Data.data());
   }
-  send(C, MsgType::WaitResponse, RequestId, J.Tenant, encode(R));
+  // A result is gathered straight into the reply's payload.
+  send(C, MsgType::WaitResponse, RequestId, J.Tenant,
+       WithResult ? encode(R, *J.Args->Result) : encode(R));
   if (J.WaiterArrivedNs)
     reqHistogram(MsgType::WaitRequest)
         .observe(static_cast<double>(obs::detail::nowNs() -

@@ -43,6 +43,7 @@
 
 #include "net/Protocol.h"
 #include "service/StencilService.h"
+#include "support/DefaultInitAllocator.h"
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -50,10 +51,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <new>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace cmcc {
@@ -163,21 +162,6 @@ private:
   Options Opts;
 
   //===--- Loop-owned state (no locks: only the loop thread touches it) ---===//
-  /// An allocator that leaves new bytes uninitialised, so the read
-  /// buffer grows for a read(2) without first zeroing what it overwrites.
-  template <typename T> struct NoInitAllocator : std::allocator<T> {
-    template <typename U> struct rebind {
-      using other = NoInitAllocator<U>;
-    };
-    NoInitAllocator() = default;
-    template <typename U> NoInitAllocator(const NoInitAllocator<U> &) {}
-    template <typename U> void construct(U *P) { ::new (P) U; }
-    template <typename U, typename... Args>
-    void construct(U *P, Args &&...A) {
-      ::new (P) U(std::forward<Args>(A)...);
-    }
-  };
-
   /// A queued response: its header and the payload it announces, written
   /// side by side with sendFrameBytes(), never copied into one buffer.
   struct OutFrame {
@@ -190,7 +174,8 @@ private:
   struct Conn {
     uint64_t Id = 0;
     int Fd = -1;
-    std::vector<uint8_t, NoInitAllocator<uint8_t>> In;
+    /// Grows for a read(2) without zeroing what the read overwrites.
+    ByteBuffer In;
     std::deque<OutFrame> Out;
     size_t OutPos = 0; ///< Bytes of Out.front() (header first) written.
     bool Closing = false; ///< Close once Out flushes.

@@ -14,6 +14,7 @@
 #define CMCC_RUNTIME_ARRAY2D_H
 
 #include "support/Assert.h"
+#include "support/DefaultInitAllocator.h"
 #include "support/Random.h"
 #include <cstdint>
 #include <type_traits>
@@ -84,6 +85,16 @@ public:
         Data(static_cast<size_t>(Rows) * Cols, Fill) {
     assert(Rows >= 0 && Cols >= 0 && "negative array shape");
   }
+  /// A rows x cols array whose elements are left unwritten, for a
+  /// caller about to overwrite every one of them.
+  static Array2D uninitialized(int Rows, int Cols) {
+    assert(Rows >= 0 && Cols >= 0 && "negative array shape");
+    Array2D A;
+    A.Rows = Rows;
+    A.Cols = Cols;
+    A.Data.resize(static_cast<size_t>(Rows) * Cols);
+    return A;
+  }
 
   int rows() const { return Rows; }
   int cols() const { return Cols; }
@@ -134,7 +145,7 @@ public:
 
 private:
   int Rows = 0, Cols = 0;
-  std::vector<float> Data;
+  std::vector<float, DefaultInitAllocator<float>> Data;
 };
 
 } // namespace cmcc

@@ -8,6 +8,7 @@
 #include "support/ThreadPool.h"
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 
@@ -20,6 +21,16 @@ DistributedArray::DistributedArray(const NodeGrid &Grid, int SubRows,
   Storage.reserve(Grid.nodeCount());
   for (int I = 0; I != Grid.nodeCount(); ++I)
     Storage.emplace_back(SubRows, SubCols);
+}
+
+DistributedArray::DistributedArray(const NodeGrid &Grid, int SubRows,
+                                   int SubCols, const void *RowMajor)
+    : Grid(Grid), SubRows(SubRows), SubCols(SubCols) {
+  assert(SubRows > 0 && SubCols > 0 && "subgrid must be nonempty");
+  Storage.reserve(Grid.nodeCount());
+  for (int I = 0; I != Grid.nodeCount(); ++I)
+    Storage.push_back(Array2D::uninitialized(SubRows, SubCols));
+  scatter(RowMajor);
 }
 
 SubgridRef DistributedArray::subgrid(NodeCoord C) { return halo(C, 0); }
@@ -43,12 +54,23 @@ DistributedArray::DistributedArray(const DistributedArray &Src, int Margin,
 std::vector<Array2D> DistributedArray::copyWithMargin(int NewMargin,
                                                       ThreadPool *Pool) const {
   std::vector<Array2D> Out(Storage.size());
+  const float Nan = std::numeric_limits<float>::quiet_NaN();
+  const int Cols = SubCols + 2 * NewMargin;
+  // Only the margin ring is poisoned; the core is written once, by the
+  // copy.
   auto Copy = [&](int Id) {
-    Array2D S(SubRows + 2 * NewMargin, SubCols + 2 * NewMargin,
-              NewMargin > 0 ? std::numeric_limits<float>::quiet_NaN() : 0.0f);
+    Array2D S = Array2D::uninitialized(SubRows + 2 * NewMargin, Cols);
     ConstSubgridRef Core = subgrid(Grid.coordOf(Id));
-    for (int R = 0; R != SubRows; ++R)
-      std::copy_n(Core.row(R), SubCols, S.row(R + NewMargin) + NewMargin);
+    for (int R = 0; R != NewMargin; ++R) {
+      std::fill_n(S.row(R), Cols, Nan);
+      std::fill_n(S.row(NewMargin + SubRows + R), Cols, Nan);
+    }
+    for (int R = 0; R != SubRows; ++R) {
+      float *Row = S.row(R + NewMargin);
+      std::fill_n(Row, NewMargin, Nan);
+      std::copy_n(Core.row(R), SubCols, Row + NewMargin);
+      std::fill_n(Row + NewMargin + SubCols, NewMargin, Nan);
+    }
     Out[static_cast<size_t>(Id)] = std::move(S);
   };
   if (Pool)
@@ -79,32 +101,34 @@ void DistributedArray::scatter(const Array2D &Global) {
   scatter(Global.data());
 }
 
-void DistributedArray::scatter(const float *Global) {
-  const size_t Stride = static_cast<size_t>(globalCols());
+void DistributedArray::scatter(const void *RowMajor) {
+  const uint8_t *Bytes = static_cast<const uint8_t *>(RowMajor);
+  const size_t Stride = static_cast<size_t>(globalCols()) * sizeof(float);
+  const size_t RowBytes = static_cast<size_t>(SubCols) * sizeof(float);
   for (int NR = 0; NR != Grid.rows(); ++NR)
     for (int NC = 0; NC != Grid.cols(); ++NC) {
       SubgridRef Sub = subgrid({NR, NC});
       for (int R = 0; R != SubRows; ++R)
-        std::copy_n(Global + (NR * SubRows + R) * Stride + NC * SubCols,
-                    SubCols, Sub.row(R));
+        std::memcpy(Sub.row(R),
+                    Bytes + static_cast<size_t>(NR * SubRows + R) * Stride +
+                        NC * RowBytes,
+                    RowBytes);
     }
 }
 
 Array2D DistributedArray::gather() const {
-  Array2D Global(globalRows(), globalCols());
+  Array2D Global = Array2D::uninitialized(globalRows(), globalCols());
   gather(Global.data());
   return Global;
 }
 
-void DistributedArray::gather(float *Global) const {
-  const size_t Stride = static_cast<size_t>(globalCols());
-  for (int NR = 0; NR != Grid.rows(); ++NR)
-    for (int NC = 0; NC != Grid.cols(); ++NC) {
-      ConstSubgridRef Sub = subgrid({NR, NC});
-      for (int R = 0; R != SubRows; ++R)
-        std::copy_n(Sub.row(R), SubCols,
-                    Global + (NR * SubRows + R) * Stride + NC * SubCols);
-    }
+void DistributedArray::gather(void *RowMajor) const {
+  uint8_t *Out = static_cast<uint8_t *>(RowMajor);
+  forEachGlobalRowPiece([&](const float *Piece, int Floats) {
+    const size_t Bytes = static_cast<size_t>(Floats) * sizeof(float);
+    std::memcpy(Out, Piece, Bytes);
+    Out += Bytes;
+  });
 }
 
 float DistributedArray::atGlobal(int R, int C) const {

@@ -47,6 +47,13 @@ class ThreadPool;
 class DistributedArray {
 public:
   DistributedArray(const NodeGrid &Grid, int SubRows, int SubCols);
+  /// The array whose global value is the (SubRows * rows) x (SubCols *
+  /// cols) row-major floats at \p RowMajor, which may sit at any byte
+  /// alignment (a grid inside a received frame). Each node's storage is
+  /// allocated unwritten and its rows are copied in: one pass over the
+  /// data, where construction and scatter() would make two.
+  DistributedArray(const NodeGrid &Grid, int SubRows, int SubCols,
+                   const void *RowMajor);
   /// A copy of \p Src's subgrids inside a fresh NaN margin of \p Margin
   /// cells, the core rows copied over \p Pool when given.
   DistributedArray(const DistributedArray &Src, int Margin,
@@ -84,13 +91,26 @@ public:
 
   /// Scatters \p Global (must match the global shape).
   void scatter(const Array2D &Global);
-  /// Scatters globalRows() x globalCols() row-major floats at \p Global.
-  void scatter(const float *Global);
+  /// Scatters the globalRows() x globalCols() row-major floats at
+  /// \p RowMajor, which may sit at any byte alignment.
+  void scatter(const void *RowMajor);
 
   /// Gathers the subgrids back into one global array.
   Array2D gather() const;
-  /// Gathers into globalRows() x globalCols() row-major floats at \p Global.
-  void gather(float *Global) const;
+  /// Gathers into globalRows() x globalCols() row-major floats at
+  /// \p RowMajor, which may sit at any byte alignment.
+  void gather(void *RowMajor) const;
+
+  /// Hands \p Append(const float *Piece, int Floats) the global array
+  /// in row-major order: each global row as one piece per node column,
+  /// read from the subgrids in place.
+  template <typename AppendFn>
+  void forEachGlobalRowPiece(AppendFn &&Append) const {
+    for (int NR = 0; NR != Grid.rows(); ++NR)
+      for (int R = 0; R != SubRows; ++R)
+        for (int NC = 0; NC != Grid.cols(); ++NC)
+          Append(subgrid({NR, NC}).row(R), SubCols);
+  }
 
   /// Global element access (for tests).
   float atGlobal(int R, int C) const;

@@ -332,6 +332,7 @@ Error ShardedBackend::spawnWorker(int Shard) const {
   W->Pid = Pid;
   W->SocketFd = Sv[0];
   W->Ring = RingOrErr.takeValue();
+  W->Ring.setPeer(Pid);
   W->Domain = shardDomain(Grid, Shard, Config.NodeRows, Config.NodeCols);
   W->Alive = true;
 

@@ -362,7 +362,7 @@ TEST(NetProtocolTest, HelloRoundTrip) {
 TEST(NetProtocolTest, SubmitRoundTripKeepsGridsBitwise) {
   const SubmitRequest M = sampleSubmitRequest();
   std::vector<uint8_t> B = encode(M);
-  Expected<SubmitRequest> Back = decodeSubmitRequest(B.data(), B.size());
+  Expected<SubmitView> Back = decodeSubmitRequest(B.data(), B.size());
   ASSERT_TRUE(Back);
   EXPECT_EQ(Back->Kind, M.Kind);
   EXPECT_EQ(Back->Source, M.Source);
@@ -378,10 +378,10 @@ TEST(NetProtocolTest, SubmitRoundTripKeepsGridsBitwise) {
     EXPECT_EQ(Back->Grids[I].Grid.Rows, M.Grids[I].Grid.Rows);
     EXPECT_EQ(Back->Grids[I].Grid.Cols, M.Grids[I].Grid.Cols);
     // Bitwise, not approximately: floats cross the wire as raw IEEE
-    // bit patterns.
-    ASSERT_EQ(Back->Grids[I].Grid.Data.size(), M.Grids[I].Grid.Data.size());
-    EXPECT_EQ(std::memcmp(Back->Grids[I].Grid.Data.data(),
-                          M.Grids[I].Grid.Data.data(),
+    // bit patterns, and the view reads them where they arrived.
+    const uint8_t *Floats = Back->Grids[I].Grid.Bytes;
+    ASSERT_TRUE(Floats >= B.data() && Floats < B.data() + B.size());
+    EXPECT_EQ(std::memcmp(Floats, M.Grids[I].Grid.Data.data(),
                           M.Grids[I].Grid.Data.size() * sizeof(float)),
               0);
   }
@@ -519,7 +519,7 @@ TEST(NetProtocolTest, SubmitRoundTripCarriesTraceContext) {
   M.TraceId = 0x0123456789abcdefull;
   M.ParentSpan = 0xfedcba9876543210ull;
   std::vector<uint8_t> B = encode(M);
-  Expected<SubmitRequest> Back = decodeSubmitRequest(B.data(), B.size());
+  Expected<SubmitView> Back = decodeSubmitRequest(B.data(), B.size());
   ASSERT_TRUE(Back);
   EXPECT_EQ(Back->TraceId, M.TraceId);
   EXPECT_EQ(Back->ParentSpan, M.ParentSpan);
@@ -599,17 +599,17 @@ TEST(NetProtocolTest, SingleByteCorruptionNeverCrashes) {
   for (size_t I = 0; I != B.size(); ++I) {
     std::vector<uint8_t> Bad = B;
     Bad[I] ^= 0xA5;
-    Expected<SubmitRequest> Back = decodeSubmitRequest(Bad.data(), Bad.size());
+    Expected<SubmitView> Back = decodeSubmitRequest(Bad.data(), Bad.size());
     if (!Back) {
       ++Rejected;
       continue;
     }
     ASSERT_EQ(Back->Grids.size(), M.Grids.size()) << "byte " << I;
     for (size_t G = 0; G != M.Grids.size(); ++G) {
-      const std::vector<float> &Got = Back->Grids[G].Grid.Data;
+      const GridView &Got = Back->Grids[G].Grid;
       const std::vector<float> &Want = M.Grids[G].Grid.Data;
-      EXPECT_TRUE(Got.size() == Want.size() &&
-                  std::memcmp(Got.data(), Want.data(),
+      EXPECT_TRUE(static_cast<size_t>(Got.Rows) * Got.Cols == Want.size() &&
+                  std::memcmp(Got.Bytes, Want.data(),
                               Want.size() * sizeof(float)) == 0)
           << "byte " << I << " changed grid " << G << " undetected";
     }

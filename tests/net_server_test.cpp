@@ -398,6 +398,56 @@ TEST_F(NetServerTest, MalformedPayloadAnsweredAndConnectionSurvives) {
   EXPECT_GE(Counters.DecodeErrors, 1);
 }
 
+TEST_F(NetServerTest, CorruptGridRefusedBeforeAnyJobExists) {
+  // The server copies a grid out of the frame only once its CRC32C has
+  // matched. One flipped byte of the source grid's floats is refused
+  // with ErrBadRequest, no job reaches the service, and the connection
+  // then serves a good job.
+  Harness H;
+  auto C = H.client();
+  ASSERT_TRUE(C);
+  constexpr int Sub = 8;
+  constexpr uint64_t Seed = 77;
+  const net::SubmitRequest Good = dataJob(H, Sub, Seed);
+  std::vector<uint8_t> Bad = net::encode(Good);
+  // The first grid's floats follow the job fields, the grid count, its
+  // role byte, its name and its rows, cols and float count.
+  const size_t FirstFloat = 1 + 4 + Good.Source.size() + 8 + 3 * 4 + 4 +
+                            Good.ResultName.size() + 4 + 1 + 4 +
+                            Good.Grids[0].Grid.Name.size() + 3 * 4;
+  float First;
+  std::memcpy(&First, Bad.data() + FirstFloat, sizeof(First));
+  ASSERT_EQ(First, Good.Grids[0].Grid.Data[0]);
+  Bad[FirstFloat + 2] ^= 0x10;
+
+  const long SubmittedBefore = H.Service->stats().JobsSubmitted;
+  const uint64_t Id = C->nextRequestId();
+  ASSERT_FALSE(C->sendRequest(net::MsgType::SubmitRequest, Id, Bad));
+  Expected<net::Client::RawResponse> R = C->receive();
+  ASSERT_TRUE(R) << R.error().message();
+  EXPECT_EQ(R->Header.Type, net::MsgType::ErrorResponse);
+  EXPECT_EQ(R->Header.RequestId, Id);
+  Expected<net::ErrorResponse> E =
+      decodeErrorResponse(R->Payload.data(), R->Payload.size());
+  ASSERT_TRUE(E);
+  EXPECT_EQ(E->Code, net::ErrBadRequest);
+  EXPECT_EQ(H.Service->stats().JobsSubmitted, SubmittedBefore);
+
+  Expected<net::SubmitResponse> S = C->submit(Good);
+  ASSERT_TRUE(S) << S.error().message();
+  Expected<net::WaitResponse> W = C->wait(S->JobId);
+  ASSERT_TRUE(W) << W.error().message();
+  ASSERT_TRUE(W->Ok) << W->Message;
+  ASSERT_TRUE(W->HasResult);
+  EXPECT_EQ(H.Service->stats().JobsSubmitted, SubmittedBefore + 1);
+  const Array2D Local = dataJobInProcess(H.M, Sub, Seed);
+  ASSERT_EQ(W->Result.Data.size(),
+            static_cast<size_t>(Local.rows()) * Local.cols());
+  EXPECT_EQ(std::memcmp(W->Result.Data.data(), Local.data(),
+                        W->Result.Data.size() * sizeof(float)),
+            0);
+}
+
 TEST_F(NetServerTest, BrokenFramingClosesThatConnectionOnly) {
   Harness H;
   // Each vandal gets exactly one ErrorResponse, at the current version,

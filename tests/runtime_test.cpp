@@ -16,6 +16,7 @@
 #include "runtime/StripMiner.h"
 #include "stencil/PatternLibrary.h"
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
 using namespace cmcc;
@@ -70,6 +71,42 @@ TEST(DistributedArrayTest, ScatterGatherRoundTrip) {
   Global.fillRandom(11);
   A.scatter(Global);
   EXPECT_EQ(Array2D::maxAbsDifference(A.gather(), Global), 0.0f);
+}
+
+TEST(DistributedArrayTest, BuiltFromUnalignedBytesEqualsScatter) {
+  // A grid inside a received frame sits at any byte offset. Build from
+  // those bytes on a non-square node grid and compare bit patterns (a
+  // signed zero and a NaN with a payload included) with scatter().
+  NodeGrid Grid(2, 4);
+  constexpr int SubRows = 5, SubCols = 7;
+  Array2D Global(2 * SubRows, 4 * SubCols);
+  Global.fillRandom(29);
+  Global.at(0, 0) = -0.0f;
+  const uint32_t PayloadNan = 0x7FA00001u;
+  std::memcpy(&Global.at(SubRows, 2 * SubCols + 1), &PayloadNan, 4);
+  const size_t Bytes =
+      static_cast<size_t>(Global.rows()) * Global.cols() * sizeof(float);
+  for (size_t Offset : {1, 2, 3, 5}) {
+    SCOPED_TRACE("byte offset " + std::to_string(Offset));
+    std::vector<uint8_t> Frame(Offset + Bytes + 1, 0xA5);
+    std::memcpy(Frame.data() + Offset, Global.data(), Bytes);
+    const DistributedArray FromBytes(Grid, SubRows, SubCols,
+                                     Frame.data() + Offset);
+    DistributedArray Scattered(Grid, SubRows, SubCols);
+    Scattered.scatter(Global);
+    for (int NR = 0; NR != Grid.rows(); ++NR)
+      for (int NC = 0; NC != Grid.cols(); ++NC)
+        for (int R = 0; R != SubRows; ++R)
+          EXPECT_EQ(std::memcmp(FromBytes.subgrid({NR, NC}).row(R),
+                                Scattered.subgrid({NR, NC}).row(R),
+                                SubCols * sizeof(float)),
+                    0)
+              << "node (" << NR << ", " << NC << ") row " << R;
+    // And back out to the same kind of offset.
+    std::vector<uint8_t> Out(Offset + Bytes);
+    FromBytes.gather(Out.data() + Offset);
+    EXPECT_EQ(std::memcmp(Out.data() + Offset, Global.data(), Bytes), 0);
+  }
 }
 
 TEST(DistributedArrayTest, GlobalAccessMatchesSubgrids) {
