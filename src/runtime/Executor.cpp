@@ -420,15 +420,19 @@ Executor::runResolved(const CompiledStencil &Compiled,
     const ThreadPool::Lease PoolLease = ThreadPool::lease(Opts.ThreadCount);
     ThreadPool *Pool = PoolLease.get();
 
-    // Step one of the run-time library: the halo exchange (the paper's
-    // three-step protocol), once per source array, all nodes at once,
-    // plus the coefficient pads of a tiled run.
+    // Step one of the run-time library: the halo exchange, once per
+    // source array plus the coefficient pads of a tiled run, every node
+    // filling its own borders before any step reads them.
     Expected<ExchangedOperands> X =
         exchangeOperands(Opts, Spec, Resolved, K);
     if (!X)
       return X.error();
 
     const NodeGrid &Grid = Resolved.Result->grid();
+    Pool->parallelFor(Grid.nodeCount(), [&](int Id) {
+      for (const HaloFill &F : X->Fills)
+        F.fillNode(Id);
+    });
     std::vector<int> NodeIds;
     if (Opts.Mode == FunctionalMode::AllNodes) {
       NodeIds.resize(static_cast<size_t>(Grid.nodeCount()));

@@ -8,22 +8,34 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <mutex>
+#include <string>
 
 using namespace cmcc;
 
 namespace {
 
-/// Copies \p Rows rows of \p Width floats from \p Src to \p Dst (row
-/// pitches in floats), or zero-fills them when \p Src is null. Every
-/// pad band the exchange writes is one such call, with its source (zero
-/// boundary, local neighbor or transport block) chosen once per band.
-void copyBand(float *Dst, long DstPitch, const float *Src, long SrcPitch,
-              int Rows, int Width) {
+/// Where one pad band's cells come from: rows Pitch floats apart, or
+/// zeros when Src is null (past a Zero boundary).
+struct Band {
+  const float *Src = nullptr;
+  long Pitch = 0;
+
+  /// The same band starting \p Rows rows further down.
+  Band down(int Rows) const {
+    return {Src ? Src + Rows * Pitch : nullptr, Pitch};
+  }
+};
+
+/// Copies \p Rows rows of \p Width floats from \p From to \p Dst (row
+/// pitch \p DstPitch). Every band the exchange writes or ships is one
+/// such call.
+void copyBand(float *Dst, long DstPitch, Band From, int Rows, int Width) {
   for (int R = 0; R != Rows; ++R, Dst += DstPitch) {
-    if (Src)
-      std::copy_n(Src + R * SrcPitch, Width, Dst);
+    if (From.Src)
+      std::copy_n(From.Src + R * From.Pitch, Width, Dst);
     else
       std::fill_n(Dst, Width, 0.0f);
   }
@@ -53,6 +65,70 @@ void poisonUnfilled(SubgridRef Full, int M, int B, bool FetchCorners) {
   }
 }
 
+/// The source of node \p N's pad at (\p DRow, \p DCol), each -1, 0 or 1
+/// and not both 0: a West/East band of SR x B, a North/South band of
+/// B x SC, or a B x B corner. Zeros past a Zero boundary; the transport
+/// block at a split block edge; otherwise the neighbour's core. A corner
+/// is the N/S neighbour's side band in the B rows facing this node, so
+/// within the block it reads the diagonal neighbour's core — the cells
+/// the two-hop relay delivers.
+Band padSource(const HaloFill &F, NodeCoord N, int DRow, int DCol) {
+  const DistributedArray &A = *F.A;
+  const NodeGrid &Grid = A.grid();
+  const PartitionDomain &D = F.Domain;
+  const int SR = A.subRows(), SC = A.subCols(), B = F.Border;
+  if (DRow != 0) {
+    const bool North = DRow < 0;
+    if (F.BoundaryDim1 == BoundaryKind::Zero &&
+        D.globalRow(N.Row) == (North ? 0 : D.GlobalRows - 1))
+      return {};
+    if (!D.spansAllRows() && N.Row == (North ? 0 : Grid.rows() - 1)) {
+      // Shipped rows: [west corner] core [east corner] per local column.
+      const int Ship = F.FetchCorners ? SC + 2 * B : SC;
+      const int CoreAt = F.FetchCorners ? B : 0;
+      const int Col = DCol < 0 ? 0 : DCol == 0 ? CoreAt : CoreAt + SC;
+      const std::vector<float> &Block =
+          North ? F.NorthSouth.Low : F.NorthSouth.High;
+      return {Block.data() + static_cast<size_t>(N.Col) * B * Ship + Col,
+              Ship};
+    }
+    const NodeCoord M =
+        Grid.neighbor(N, North ? Direction::North : Direction::South);
+    const int Row = North ? SR - B : 0;
+    if (DCol == 0)
+      return {A.subgrid(M).row(Row), A.pitch()};
+    return padSource(F, M, 0, DCol).down(Row);
+  }
+  const bool West = DCol < 0;
+  if (F.BoundaryDim2 == BoundaryKind::Zero &&
+      D.globalCol(N.Col) == (West ? 0 : D.GlobalCols - 1))
+    return {};
+  if (!D.spansAllCols() && N.Col == (West ? 0 : Grid.cols() - 1)) {
+    const std::vector<float> &Block =
+        West ? F.WestEast.Low : F.WestEast.High;
+    return {Block.data() + static_cast<size_t>(N.Row) * SR * B, B};
+  }
+  const NodeCoord M =
+      Grid.neighbor(N, West ? Direction::West : Direction::East);
+  return {A.subgrid(M).row(0) + (West ? SC - B : 0), A.pitch()};
+}
+
+/// One transport call: ships \p Out and checks that both returned blocks
+/// have its size.
+Expected<HaloBlocks> exchangeBlocks(HaloTransport &Transport,
+                                    int SourceIndex, HaloStep Step,
+                                    const HaloBlocks &Out) {
+  Expected<HaloBlocks> In = Transport.exchange(SourceIndex, Step, Out);
+  if (In && (In->Low.size() != Out.Low.size() ||
+             In->High.size() != Out.High.size()))
+    return Error::transient("halo transport returned a " +
+                            std::string(Step == HaloStep::WestEast
+                                            ? "west/east"
+                                            : "north/south") +
+                            " block of the wrong size");
+  return In;
+}
+
 } // namespace
 
 std::vector<Array2D> cmcc::exchangeHalos(const DistributedArray &A,
@@ -71,268 +147,119 @@ std::vector<Array2D> cmcc::exchangeHalos(const DistributedArray &A,
   static obs::Counter &Bytes = obs::Registry::process().counter("halo.bytes");
   Bytes.add(static_cast<long>(A.grid().nodeCount()) * A.subRows() *
             A.subCols() * static_cast<long>(sizeof(float)));
-  // The whole-grid domain never touches a transport, so the partitioned
-  // protocol cannot fail here.
-  Error E = exchangeHalosPartitioned(
+  // The whole-grid domain never touches a transport, so the prologue
+  // cannot fail here.
+  Expected<HaloFill> Fill = beginHaloFill(
       Copy, PartitionDomain::whole(A.grid().rows(), A.grid().cols()),
       /*Transport=*/nullptr, /*SourceIndex=*/0, Border, BoundaryDim1,
       BoundaryDim2, FetchCorners);
-  assert(!E && "whole-grid halo exchange failed");
-  (void)E;
+  assert(Fill && "whole-grid halo exchange failed");
+  for (int Id = 0; Id != A.grid().nodeCount(); ++Id)
+    Fill->fillNode(Id);
   return std::move(Copy).takeStorage();
 }
 
-HaloFill cmcc::beginHaloFill(const DistributedArray &A, int Border,
-                             BoundaryKind BoundaryDim1,
-                             BoundaryKind BoundaryDim2, bool FetchCorners) {
-  static obs::Counter &Exchanges =
-      obs::Registry::process().counter("halo.exchanges");
-  static obs::Counter &Bytes = obs::Registry::process().counter("halo.bytes");
-  assert(Border >= 0 && Border <= A.subRows() && Border <= A.subCols() &&
-         "border width exceeds the subgrid");
-  Exchanges.add(1);
-  // The bytes every node's fill will write, as the protocol counts them.
-  const long ShipCols = FetchCorners ? A.subCols() + 2 * Border : A.subCols();
-  Bytes.add(static_cast<long>(A.reserveMargin(Border)) +
-            static_cast<long>(A.grid().nodeCount()) * 2 * Border *
-                (A.subRows() + ShipCols) * static_cast<long>(sizeof(float)));
-  return {&A, Border, BoundaryDim1, BoundaryDim2, FetchCorners};
-}
-
-void HaloFill::fillNode(int Id) const {
-  const NodeGrid &Grid = A->grid();
-  const int SR = A->subRows(), SC = A->subCols(), B = Border;
-  const long Pitch = A->pitch();
-  const NodeCoord Here = Grid.coordOf(Id);
-  poisonUnfilled(A->halo(Here, A->margin()), A->margin(), B, FetchCorners);
-  if (B == 0)
-    return;
-  // A neighbour's core at (row, col) offsets, or null (zeros) past a
-  // Zero boundary. The grid is a torus, so a Circular edge wraps.
-  const bool ZeroWE = BoundaryDim2 == BoundaryKind::Zero;
-  const bool ZeroNS = BoundaryDim1 == BoundaryKind::Zero;
-  const bool AtWest = Here.Col == 0, AtEast = Here.Col == Grid.cols() - 1;
-  const bool AtNorth = Here.Row == 0, AtSouth = Here.Row == Grid.rows() - 1;
-  auto Core = [&](int DRow, int DCol, bool Zero, int Row,
-                  int Col) -> const float * {
-    if (Zero)
-      return nullptr;
-    NodeCoord N = Here;
-    if (DRow)
-      N = Grid.neighbor(N, DRow < 0 ? Direction::North : Direction::South);
-    if (DCol)
-      N = Grid.neighbor(N, DCol < 0 ? Direction::West : Direction::East);
-    return A->subgrid(N).row(Row) + Col;
-  };
-  float *Top = A->halo(Here, B).row(0);
-  float *Mid = Top + B * Pitch;
-  float *Bottom = Mid + SR * Pitch;
-  const bool ZeroW = ZeroWE && AtWest, ZeroE = ZeroWE && AtEast;
-  const bool ZeroN = ZeroNS && AtNorth, ZeroS = ZeroNS && AtSouth;
-  copyBand(Mid, Pitch, Core(0, -1, ZeroW, 0, SC - B), Pitch, SR, B);
-  copyBand(Mid + B + SC, Pitch, Core(0, 1, ZeroE, 0, 0), Pitch, SR, B);
-  copyBand(Top + B, Pitch, Core(-1, 0, ZeroN, SR - B, 0), Pitch, B, SC);
-  copyBand(Bottom + B, Pitch, Core(1, 0, ZeroS, 0, 0), Pitch, B, SC);
-  if (!FetchCorners)
-    return;
-  // Corners straight from the diagonal neighbour: the two-hop step 3
-  // relays exactly these cells, or zeros when either hop crosses a Zero
-  // boundary.
-  copyBand(Top, Pitch, Core(-1, -1, ZeroN || ZeroW, SR - B, SC - B), Pitch,
-           B, B);
-  copyBand(Top + B + SC, Pitch, Core(-1, 1, ZeroN || ZeroE, SR - B, 0),
-           Pitch, B, B);
-  copyBand(Bottom, Pitch, Core(1, -1, ZeroS || ZeroW, 0, SC - B), Pitch, B,
-           B);
-  copyBand(Bottom + B + SC, Pitch, Core(1, 1, ZeroS || ZeroE, 0, 0), Pitch,
-           B, B);
-}
-
-Error cmcc::exchangeHalosPartitioned(const DistributedArray &A,
-                                     const PartitionDomain &Domain,
-                                     HaloTransport *Transport,
-                                     int SourceIndex, int Border,
-                                     BoundaryKind BoundaryDim1,
-                                     BoundaryKind BoundaryDim2,
-                                     bool FetchCorners) {
+Expected<HaloFill>
+cmcc::beginHaloFill(const DistributedArray &A, const PartitionDomain &Domain,
+                    HaloTransport *Transport, int SourceIndex, int Border,
+                    BoundaryKind BoundaryDim1, BoundaryKind BoundaryDim2,
+                    bool FetchCorners) {
   CMCC_SPAN("halo.exchange");
   static obs::Counter &Exchanges =
       obs::Registry::process().counter("halo.exchanges");
   static obs::Counter &Bytes = obs::Registry::process().counter("halo.bytes");
-  Exchanges.add(1);
   const NodeGrid &Grid = A.grid();
+  const int SR = A.subRows(), SC = A.subCols(), B = Border;
   assert(Grid.rows() == Domain.LocalRows && Grid.cols() == Domain.LocalCols &&
          "array grid does not match the partition domain's local block");
-  const int SR = A.subRows();
-  const int SC = A.subCols();
-  const int B = Border;
-  assert(B >= 0 && B <= SR && B <= SC &&
-         "border width exceeds the subgrid");
-
-  // A split axis moves its block edges through the transport; an axis
-  // the domain spans entirely wraps locally (the local torus is the
-  // global torus there — the whole-grid domain reduces to the original
-  // in-process protocol, transport never consulted).
-  const bool RemoteWE = !Domain.spansAllCols();
-  const bool RemoteNS = !Domain.spansAllRows();
-  assert((!RemoteWE && !RemoteNS) || Transport != nullptr
-             ? true
-             : (RemoteWE || RemoteNS) == (Transport != nullptr));
-  assert((!(RemoteWE || RemoteNS) || Transport) &&
+  assert(B >= 0 && B <= SR && B <= SC && "border width exceeds the subgrid");
+  assert((Domain.wholeGrid() || Transport) &&
          "split domain requires a transport");
-
-  // Step 1, once per array: the margin the bands land in. Every row of
-  // every padded subgrid lies Pitch floats after the previous one.
+  Exchanges.add(1);
+  HaloFill F{&A, Domain, B, BoundaryDim1, BoundaryDim2, FetchCorners, {}, {}};
+  // Step 1, once per array: the margin the bands land in.
   long Written = static_cast<long>(A.reserveMargin(B));
-  const long Pitch = A.pitch();
-  auto Padded = [&](NodeCoord C) { return A.halo(C, B); };
-  const int Nodes = Grid.nodeCount();
-  for (int Id = 0; Id != Nodes; ++Id)
-    poisonUnfilled(A.halo(Grid.coordOf(Id), A.margin()), A.margin(), B,
-                   FetchCorners);
-  if (B == 0) {
-    Bytes.add(Written);
-    return Error::success();
-  }
 
-  // Step 2: every node exchanges its edge columns with its West and
-  // East neighbors simultaneously. On a split axis the block-edge
-  // columns cross the transport: Low carries the west-edge nodes'
+  // Step 2 across a split column axis: Low carries the west-edge nodes'
   // leftmost core columns, High the east-edge nodes' rightmost, one
   // SR x B row-major block per local node row.
-  {
-    CMCC_SPAN("halo.step2_we");
-    HaloBlocks In;
-    if (RemoteWE) {
-      const size_t BlockFloats =
-          static_cast<size_t>(Domain.LocalRows) * SR * B;
-      HaloBlocks Out;
-      Out.Low.resize(BlockFloats);
-      Out.High.resize(BlockFloats);
-      for (int LR = 0; LR != Domain.LocalRows; ++LR) {
-        const size_t At = static_cast<size_t>(LR) * SR * B;
-        copyBand(Out.Low.data() + At, B, A.subgrid({LR, 0}).row(0), Pitch,
-                 SR, B);
-        copyBand(Out.High.data() + At, B,
-                 A.subgrid({LR, Grid.cols() - 1}).row(0) + SC - B, Pitch, SR,
-                 B);
-      }
-      Expected<HaloBlocks> Got =
-          Transport->exchange(SourceIndex, HaloStep::WestEast, Out);
-      if (!Got)
-        return Got.error();
-      In = std::move(*Got);
-      if (In.Low.size() != BlockFloats || In.High.size() != BlockFloats)
-        return Error::transient(
-            "halo transport returned a west/east block of the wrong size");
+  const long Pitch = A.pitch();
+  if (B != 0 && !Domain.spansAllCols()) {
+    HaloBlocks Out;
+    const size_t Block = static_cast<size_t>(SR) * B;
+    Out.Low.resize(Grid.rows() * Block);
+    Out.High.resize(Grid.rows() * Block);
+    for (int LR = 0; LR != Grid.rows(); ++LR) {
+      copyBand(Out.Low.data() + LR * Block, B,
+               {A.subgrid({LR, 0}).row(0), Pitch}, SR, B);
+      copyBand(Out.High.data() + LR * Block, B,
+               {A.subgrid({LR, Grid.cols() - 1}).row(0) + SC - B, Pitch}, SR,
+               B);
     }
-
-    const bool ZeroWE = BoundaryDim2 == BoundaryKind::Zero;
-    for (int Id = 0; Id != Nodes; ++Id) {
-      NodeCoord Here = Grid.coordOf(Id);
-      float *Core = Padded(Here).row(B);
-      const size_t BlockAt = static_cast<size_t>(Here.Row) * SR * B;
-
-      // West pad <- west neighbor's rightmost core columns.
-      if (ZeroWE && Domain.globalCol(Here.Col) == 0)
-        copyBand(Core, Pitch, nullptr, 0, SR, B);
-      else if (RemoteWE && Here.Col == 0)
-        copyBand(Core, Pitch, In.Low.data() + BlockAt, B, SR, B);
-      else
-        copyBand(Core, Pitch,
-                 A.subgrid(Grid.neighbor(Here, Direction::West)).row(0) +
-                     SC - B,
-                 Pitch, SR, B);
-
-      // East pad <- east neighbor's leftmost core columns.
-      float *EastPad = Core + SC + B;
-      if (ZeroWE && Domain.globalCol(Here.Col) == Domain.GlobalCols - 1)
-        copyBand(EastPad, Pitch, nullptr, 0, SR, B);
-      else if (RemoteWE && Here.Col == Grid.cols() - 1)
-        copyBand(EastPad, Pitch, In.High.data() + BlockAt, B, SR, B);
-      else
-        copyBand(EastPad, Pitch,
-                 A.subgrid(Grid.neighbor(Here, Direction::East)).row(0),
-                 Pitch, SR, B);
-    }
+    Expected<HaloBlocks> In =
+        exchangeBlocks(*Transport, SourceIndex, HaloStep::WestEast, Out);
+    if (!In)
+      return In.error();
+    F.WestEast = In.takeValue();
   }
 
-  // Step 3: exchange edge rows with the North and South neighbors. The
-  // shipped rows include the side pads received in step 2, so corner
-  // data arrives from the diagonal neighbor in two hops — including
-  // across shard boundaries, where the side pads a block edge ships may
-  // themselves have just crossed the transport. For cornerless stencils
-  // only the core columns move and the corner pads stay poisoned
-  // (§5.1's skipped third step) — on a split axis those columns never
-  // enter the transport blocks at all. A node writes its own top and
-  // bottom pad rows and reads its neighbors' *core* edge rows (B <= SR
-  // keeps the two disjoint), so the order of the nodes does not matter.
-  const int ColBegin = FetchCorners ? 0 : B;
-  const int ShipCols = FetchCorners ? SC + 2 * B : SC;
-  {
-    CMCC_SPAN("halo.step3_ns");
-    HaloBlocks In;
-    if (RemoteNS) {
-      const size_t BlockFloats =
-          static_cast<size_t>(Domain.LocalCols) * B * ShipCols;
-      HaloBlocks Out;
-      Out.Low.resize(BlockFloats);
-      Out.High.resize(BlockFloats);
-      for (int LC = 0; LC != Domain.LocalCols; ++LC) {
-        const size_t At = static_cast<size_t>(LC) * B * ShipCols;
-        copyBand(Out.Low.data() + At, ShipCols,
-                 Padded({0, LC}).row(B) + ColBegin, Pitch, B, ShipCols);
-        copyBand(Out.High.data() + At, ShipCols,
-                 Padded({Grid.rows() - 1, LC}).row(SR) + ColBegin, Pitch, B,
-                 ShipCols);
+  // Step 3 across a split row axis: Low carries the north-edge nodes' top
+  // B core rows, High the south-edge nodes' bottom B, one B x Ship block
+  // per local node column. With corners the rows carry the side pads a
+  // fill writes — read from the same sources, received blocks included —
+  // so corner data crosses shards in two hops; cornerless rows carry the
+  // core columns only and skipped corners never enter the blocks.
+  const int Ship = FetchCorners ? SC + 2 * B : SC;
+  if (B != 0 && !Domain.spansAllRows()) {
+    auto Pack = [&](float *Dst, NodeCoord N, int Row) {
+      if (FetchCorners) {
+        copyBand(Dst, Ship, padSource(F, N, 0, -1).down(Row), B, B);
+        copyBand(Dst + B + SC, Ship, padSource(F, N, 0, 1).down(Row), B, B);
+        Dst += B;
       }
-      Expected<HaloBlocks> Got =
-          Transport->exchange(SourceIndex, HaloStep::NorthSouth, Out);
-      if (!Got)
-        return Got.error();
-      In = std::move(*Got);
-      if (In.Low.size() != BlockFloats || In.High.size() != BlockFloats)
-        return Error::transient(
-            "halo transport returned a north/south block of the wrong size");
+      copyBand(Dst, Ship, {A.subgrid(N).row(Row), Pitch}, B, SC);
+    };
+    HaloBlocks Out;
+    const size_t Block = static_cast<size_t>(B) * Ship;
+    Out.Low.resize(Grid.cols() * Block);
+    Out.High.resize(Grid.cols() * Block);
+    for (int LC = 0; LC != Grid.cols(); ++LC) {
+      Pack(Out.Low.data() + LC * Block, {0, LC}, 0);
+      Pack(Out.High.data() + LC * Block, {Grid.rows() - 1, LC}, SR - B);
     }
-
-    const bool ZeroNS = BoundaryDim1 == BoundaryKind::Zero;
-    for (int Id = 0; Id != Nodes; ++Id) {
-      NodeCoord Here = Grid.coordOf(Id);
-      SubgridRef P = Padded(Here);
-      const size_t BlockAt = static_cast<size_t>(Here.Col) * B * ShipCols;
-
-      // North pad <- north neighbor's bottommost core rows (with pads).
-      float *NorthPad = P.row(0) + ColBegin;
-      if (ZeroNS && Domain.globalRow(Here.Row) == 0)
-        copyBand(NorthPad, Pitch, nullptr, 0, B, ShipCols);
-      else if (RemoteNS && Here.Row == 0)
-        copyBand(NorthPad, Pitch, In.Low.data() + BlockAt, ShipCols, B,
-                 ShipCols);
-      else
-        copyBand(NorthPad, Pitch,
-                 Padded(Grid.neighbor(Here, Direction::North)).row(SR) +
-                     ColBegin,
-                 Pitch, B, ShipCols);
-
-      // South pad <- south neighbor's topmost core rows (with pads).
-      float *SouthPad = P.row(SR + B) + ColBegin;
-      if (ZeroNS && Domain.globalRow(Here.Row) == Domain.GlobalRows - 1)
-        copyBand(SouthPad, Pitch, nullptr, 0, B, ShipCols);
-      else if (RemoteNS && Here.Row == Grid.rows() - 1)
-        copyBand(SouthPad, Pitch, In.High.data() + BlockAt, ShipCols, B,
-                 ShipCols);
-      else
-        copyBand(SouthPad, Pitch,
-                 Padded(Grid.neighbor(Here, Direction::South)).row(B) +
-                     ColBegin,
-                 Pitch, B, ShipCols);
-    }
+    Expected<HaloBlocks> In =
+        exchangeBlocks(*Transport, SourceIndex, HaloStep::NorthSouth, Out);
+    if (!In)
+      return In.error();
+    F.NorthSouth = In.takeValue();
   }
-  // The four bands of every node: SR x B each side, B x ShipCols above
-  // and below.
-  Written += static_cast<long>(Nodes) * 2 * B * (SR + ShipCols) *
+
+  // The four bands of every node: SR x B each side, B x Ship above and
+  // below.
+  Written += static_cast<long>(Grid.nodeCount()) * 2 * B * (SR + Ship) *
              static_cast<long>(sizeof(float));
   Bytes.add(Written);
-  return Error::success();
+  return F;
+}
+
+void HaloFill::fillNode(int Id) const {
+  const NodeCoord Here = A->grid().coordOf(Id);
+  const int SR = A->subRows(), SC = A->subCols(), B = Border;
+  poisonUnfilled(A->halo(Here, A->margin()), A->margin(), B, FetchCorners);
+  if (B == 0)
+    return;
+  const long Pitch = A->pitch();
+  float *Top = A->halo(Here, B).row(0);
+  float *Mid = Top + B * Pitch;
+  float *Bottom = Mid + SR * Pitch;
+  copyBand(Mid, Pitch, padSource(*this, Here, 0, -1), SR, B);
+  copyBand(Mid + B + SC, Pitch, padSource(*this, Here, 0, 1), SR, B);
+  copyBand(Top + B, Pitch, padSource(*this, Here, -1, 0), B, SC);
+  copyBand(Bottom + B, Pitch, padSource(*this, Here, 1, 0), B, SC);
+  if (!FetchCorners)
+    return;
+  copyBand(Top, Pitch, padSource(*this, Here, -1, -1), B, B);
+  copyBand(Top + B + SC, Pitch, padSource(*this, Here, -1, 1), B, B);
+  copyBand(Bottom, Pitch, padSource(*this, Here, 1, -1), B, B);
+  copyBand(Bottom + B + SC, Pitch, padSource(*this, Here, 1, 1), B, B);
 }

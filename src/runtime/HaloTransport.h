@@ -5,27 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The transport seam under the §5.1 exchange protocol. Inside one
-/// shard, halo data still moves neighbor-to-neighbor through shared
-/// memory exactly as before; at the shard's block edges the protocol
-/// hands a packed edge-block pair to a HaloTransport and blocks until
-/// the matching blocks from the two axis neighbors arrive.
+/// The transport seam under the §5.1 exchange. Inside one shard, each
+/// node's fill reads its neighbours' cores through shared memory; at the
+/// shard's block edges the exchange prologue (beginHaloFill) hands a
+/// packed edge-block pair to a HaloTransport and blocks until the
+/// matching blocks from the two axis neighbours arrive. The fills then
+/// read those blocks as they would a neighbour's core.
 ///
-/// The protocol's two steps map onto two transport calls per source
-/// array:
+/// The two steps map onto two transport calls per source array:
 ///
 ///   * WestEast:  the shard's west-edge nodes' leftmost core columns
 ///     (Low) and east-edge nodes' rightmost core columns (High) go
 ///     out; the west neighbor's High and east neighbor's Low come
 ///     back and fill the side pads.
-///   * NorthSouth: the shard's north-edge nodes' topmost *padded* rows
-///     (Low) and south-edge nodes' bottommost padded rows (High) go
-///     out. Because these rows include the side pads received in the
-///     WestEast step, corner data still reaches the diagonal neighbor
-///     in two hops — across process boundaries exactly as the paper
-///     moves it across node boundaries. Cornerless stencils ship only
-///     the core columns, so skipped corner pads never cross the wire
-///     and stay NaN-poisoned end to end.
+///   * NorthSouth: the shard's north-edge nodes' topmost core rows (Low)
+///     and south-edge nodes' bottommost core rows (High) go out, each
+///     row flanked by the side-pad values a fill writes there. Because
+///     those include what the WestEast call received, corner data still
+///     reaches the diagonal neighbor in two hops — across process
+///     boundaries exactly as the paper moves it across node boundaries.
+///     Cornerless stencils ship only the core columns, so skipped corner
+///     pads never cross the wire and stay NaN-poisoned end to end.
 ///
 /// Every shard of a job must make the same sequence of exchange calls
 /// (the machines are synchronous by construction: all shards run the

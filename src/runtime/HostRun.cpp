@@ -19,7 +19,7 @@ using namespace cmcc;
 Expected<ExchangedOperands>
 cmcc::exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
                        const ResolvedStencilArguments &Resolved,
-                       int TimeTile, bool OwnerFills) {
+                       int TimeTile) {
   const int Radius = Spec.borderWidths().maximum();
   const bool FetchCorners =
       TimeTile > 1 || Spec.needsCornerData() || !Opts.AllowCornerSkip;
@@ -86,13 +86,12 @@ cmcc::exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
     if (fault::probe("halo.exchange"))
       return fault::injectedFault("halo.exchange");
   for (const Exchange &E : Exchanges) {
-    if (OwnerFills && !Opts.Transport)
-      X.Fills.push_back(beginHaloFill(*E.A, E.Border, Spec.BoundaryDim1,
-                                      Spec.BoundaryDim2, FetchCorners));
-    else if (Error Err = exchangeHalosPartitioned(
-                 *E.A, Domain, Opts.Transport, E.TransportIndex, E.Border,
-                 Spec.BoundaryDim1, Spec.BoundaryDim2, FetchCorners))
-      return Err;
+    Expected<HaloFill> F = beginHaloFill(
+        *E.A, Domain, Opts.Transport, E.TransportIndex, E.Border,
+        Spec.BoundaryDim1, Spec.BoundaryDim2, FetchCorners);
+    if (!F)
+      return F.error();
+    X.Fills.push_back(F.takeValue());
   }
 
   auto Views = [&](const Role &R) {
@@ -131,12 +130,11 @@ Expected<TimingReport> cmcc::runOnHost(const MachineConfig &Config,
 
   const auto Start = std::chrono::steady_clock::now();
 
-  // In process, only the serial prologue runs here and each owner fills
-  // its nodes' bands below; a shard worker runs the whole protocol.
+  // Only the serial prologue runs here (a shard worker's block-edge
+  // traffic included); each owner fills its nodes' bands below.
   Expected<ExchangedOperands> X = [&] {
     obs::Span ExchangeSpan(Spans.Exchange);
-    return exchangeOperands(Opts, Spec, Resolved, /*TimeTile=*/1,
-                            /*OwnerFills=*/true);
+    return exchangeOperands(Opts, Spec, Resolved, /*TimeTile=*/1);
   }();
   if (!X)
     return X.error();
@@ -173,11 +171,12 @@ Expected<TimingReport> cmcc::runOnHost(const MachineConfig &Config,
   // Owner computes: each pool participant fills, then computes, the same
   // contiguous block of nodes on every run (ThreadPool::parallelChunks),
   // so a node's subgrid stays in one core's cache from step to step.
-  // Fills write only their own node's margin and read only cores, and
-  // the result aliases no source, so no owner waits for another. Nodes
-  // are disjoint, so any thread count computes identical bits.
+  // Fills write only their own node's margin and read only cores and
+  // received blocks, and the result aliases no source, so no owner waits
+  // for another. Nodes are disjoint, so any thread count computes
+  // identical bits.
   Pool->parallelChunks(Nodes, [&](int Begin, int End) {
-    if (!X->Fills.empty()) {
+    {
       obs::Span ExchangeSpan(Spans.Exchange);
       for (const HaloFill &F : X->Fills)
         for (int Id = Begin; Id != End; ++Id)

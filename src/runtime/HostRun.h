@@ -16,14 +16,14 @@
 ///
 /// The run is owner-computes, as on the CM-2, where every node fetches
 /// its own borders and then computes its own subgrid: after a serial
-/// prologue (halo locks, fault probes, margin growth, counters) one
-/// pool loop gives each participant a fixed contiguous block of nodes
-/// (ThreadPool::parallelChunks), whose halo bands it fills in place and
-/// then computes. The same node lands on the same thread on every run,
-/// so its data stays in that core's cache. A shard worker's run
-/// (HostRunOptions::Transport) exchanges block-edge bands with other
-/// processes, so it runs the three-step protocol in the prologue and
-/// shares only the compute loop.
+/// prologue (halo locks, fault probes, margin growth, counters, and a
+/// shard worker's block-edge traffic) one pool loop gives each
+/// participant a fixed contiguous block of nodes
+/// (ThreadPool::parallelChunks), whose halo bands it fills in place
+/// (HaloFill::fillNode) and then computes. The same node lands on the
+/// same thread on every run, so its data stays in that core's cache.
+/// In-process runs and shard workers (HostRunOptions::Transport) run the
+/// same loop.
 ///
 /// Host runs take one timestep per exchange. On the host an exchange is
 /// a memcpy, so fusing k steps behind one wide exchange (the paper's
@@ -32,8 +32,8 @@
 /// runOnHost() refuses any depth other than 1.
 ///
 /// The exchange prologue, exchangeOperands(), is shared with the cm2
-/// Executor, whose per-node steps drive the FPU pipeline model instead
-/// of a row kernel.
+/// Executor, which fills every node over its pool and then runs per-node
+/// steps that drive the FPU pipeline model instead of a row kernel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,10 +64,11 @@ struct HostRunOptions {
   /// work items are disjoint.
   int ThreadCount = 0;
   /// When set, the run covers one shard's block of a larger node grid:
-  /// the machine config describes the local block, and halo traffic
-  /// crossing the block's edges moves through Transport (the
-  /// transport-abstracted §5.1 protocol in runtime/HaloExchange.h).
-  /// Null runs the whole grid in-process.
+  /// the machine config describes the local block, and each exchange's
+  /// prologue moves the bands crossing the block's edges through
+  /// Transport (beginHaloFill in runtime/HaloExchange.h); the fills then
+  /// read them like any neighbour's core. Null runs the whole grid
+  /// in-process.
   const PartitionDomain *Domain = nullptr;
   HaloTransport *Transport = nullptr;
 };
@@ -108,9 +109,9 @@ struct ExchangedOperands {
   /// Parallel to StencilSpec::Taps: the tap's index into Coefficients,
   /// or -1.
   std::vector<int> TapCoefficient;
-  /// Owner-filled runs only: the exchanges whose bands are not written
-  /// yet. Each node's owner calls fillNode for every entry before it
-  /// reads the node's Sources.
+  /// The exchanges whose bands are not written yet. Each node's owner
+  /// calls fillNode for every entry before it reads the node's Sources
+  /// or Coefficients.
   std::vector<HaloFill> Fills;
 };
 
@@ -118,18 +119,17 @@ struct ExchangedOperands {
 /// `halo.exchange` fault probe per exchange (all before the first
 /// exchange writes anything), corner fetching (always
 /// when tiled — intermediate side-pad values feed corner-adjacent cells
-/// of later steps), the in-process or partitioned protocol, and — when
-/// \p TimeTile > 1 — the coefficient pads, with transport source
-/// indices following the real sources. An array bound to several roles
-/// is exchanged once, at the widest border they read. The order is
-/// deterministic across shard workers. Fails before any result is
-/// written, so a retry starts from untouched sources. With
-/// \p OwnerFills and no transport no band is written: each exchange is
-/// returned in Fills for the nodes' owners to write.
+/// of later steps), each exchange's prologue (beginHaloFill, over
+/// Opts.Domain and Opts.Transport when set), and — when \p TimeTile > 1 —
+/// the coefficient pads, with transport source indices following the
+/// real sources. An array bound to several roles is exchanged once, at
+/// the widest border they read. The order is deterministic across shard
+/// workers. No band is written: each exchange is returned in Fills for
+/// the nodes' owners to write. Fails before any result is written, so a
+/// retry starts from untouched sources.
 Expected<ExchangedOperands>
 exchangeOperands(const HostRunOptions &Opts, const StencilSpec &Spec,
-                 const ResolvedStencilArguments &Resolved, int TimeTile,
-                 bool OwnerFills = false);
+                 const ResolvedStencilArguments &Resolved, int TimeTile);
 
 /// Span names under which one host backend's phases are traced. Each
 /// pool participant traces its own fills under Exchange and its own

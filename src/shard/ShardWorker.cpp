@@ -260,16 +260,21 @@ int cmcc::shard::runShardWorker(int SocketFd, int ShmFd) {
                       errorAck(makeError("ShardData shape/count mismatch")));
         break;
       }
-      NodeGrid LocalGrid(State->LocalConfig);
-      auto A = std::make_unique<DistributedArray>(LocalGrid, M.SubRows,
-                                                  M.SubCols);
+      // A slot keeps its array while the subgrid shape holds, so the
+      // margin an earlier run grew stays resident and only the cores are
+      // rewritten.
+      std::unique_ptr<DistributedArray> &A = State->Slots[M.Slot];
+      if (!A || A->subRows() != M.SubRows || A->subCols() != M.SubCols)
+        A = std::make_unique<DistributedArray>(
+            NodeGrid(State->LocalConfig), M.SubRows, M.SubCols);
       if (Error E = streamSubgrids(Ring, RingDir::ToWorker, *A,
                                    /*Writing=*/false, A.get())) {
+        // Half-streamed data must not serve a run.
+        State->Slots.erase(M.Slot);
         (void)sendAck(SocketFd, net::MsgType::ShardDataResponse, Req,
                       errorAck(E));
         break;
       }
-      State->Slots.insert_or_assign(M.Slot, std::move(A));
       (void)sendAck(SocketFd, net::MsgType::ShardDataResponse, Req, {});
       break;
     }

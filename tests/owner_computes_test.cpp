@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "HaloCheck.h"
 #include "backends/Registry.h"
 #include "core/Compiler.h"
 #include "obs/Metrics.h"
@@ -30,6 +31,7 @@
 #include <thread>
 
 using namespace cmcc;
+using namespace cmcc::halocheck;
 
 namespace {
 
@@ -101,56 +103,6 @@ TEST(ThreadPoolTest, ChunksCoverTheRangeOncePerParticipant) {
 // The per-node fill
 //===----------------------------------------------------------------------===//
 
-/// Equality where NaN == NaN (poisoned cells must match exactly).
-bool sameCells(ConstSubgridRef A, ConstSubgridRef B, std::string *Where) {
-  for (int R = 0; R != A.rows(); ++R)
-    for (int C = 0; C != A.cols(); ++C) {
-      const float X = A.at(R, C), Y = B.at(R, C);
-      if (!((std::isnan(X) && std::isnan(Y)) || X == Y)) {
-        *Where = "(" + std::to_string(R) + "," + std::to_string(C) +
-                 "): " + std::to_string(X) + " vs " + std::to_string(Y);
-        return false;
-      }
-    }
-  return true;
-}
-
-struct Fill {
-  int Border;
-  bool Corners;
-};
-
-/// Fills every node of \p A for \p F, last node first, then checks each
-/// node's padded subgrid against the direct construction and its ring
-/// beyond the border for NaN.
-void fillAndCheck(const DistributedArray &A, const Fill &F, BoundaryKind B1,
-                  BoundaryKind B2, const std::string &What) {
-  const NodeGrid &Grid = A.grid();
-  const HaloFill H = beginHaloFill(A, F.Border, B1, B2, F.Corners);
-  for (int Id = Grid.nodeCount() - 1; Id >= 0; --Id)
-    H.fillNode(Id);
-  const int M = A.margin();
-  ASSERT_GE(M, F.Border) << What;
-  for (int Id = 0; Id != Grid.nodeCount(); ++Id) {
-    const NodeCoord C = Grid.coordOf(Id);
-    const Array2D Direct = buildPaddedSubgrid(A, C, F.Border, B1, B2,
-                                              F.Corners);
-    std::string Where;
-    EXPECT_TRUE(sameCells(A.halo(C, F.Border), Direct, &Where))
-        << What << ": node " << Id << " at " << Where;
-    const ConstSubgridRef Full = A.halo(C, M);
-    const int D = M - F.Border;
-    for (int R = 0; R != Full.rows(); ++R)
-      for (int Col = 0; Col != Full.cols(); ++Col)
-        if (R < D || R >= Full.rows() - D || Col < D ||
-            Col >= Full.cols() - D) {
-          ASSERT_TRUE(std::isnan(Full.at(R, Col)))
-              << What << ": node " << Id << " ring cell (" << R << ","
-              << Col << ") is not poisoned";
-        }
-  }
-}
-
 class OwnerFillTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(OwnerFillTest, MatchesDirectConstruction) {
@@ -165,22 +117,25 @@ TEST_P(OwnerFillTest, MatchesDirectConstruction) {
         Array2D Global(A.globalRows(), A.globalCols());
         Global.fillRandom(17 + GetParam());
         A.scatter(Global);
-        const std::string Case =
-            "[grid " + std::to_string(NR) + "x" + std::to_string(NC) +
-            " b1=" + (B1 == BoundaryKind::Zero ? "zero" : "circ") +
-            " b2=" + (B2 == BoundaryKind::Zero ? "zero" : "circ") +
-            " corners=" + std::to_string(Corners) + "]";
+        SCOPED_TRACE("[grid " + std::to_string(NR) + "x" +
+                     std::to_string(NC) +
+                     " b1=" + (B1 == BoundaryKind::Zero ? "zero" : "circ") +
+                     " b2=" + (B2 == BoundaryKind::Zero ? "zero" : "circ") +
+                     " corners=" + std::to_string(Corners) + "]");
         // Borders 1-3 on a margin that grows and never shrinks, so the
         // narrower fills run inside a wider margin; then a cornered fill
-        // followed by a cornerless one whose corners must read NaN again.
-        for (Fill F : {Fill{2, Corners}, Fill{1, Corners}, Fill{3, Corners},
-                       Fill{2, true}, Fill{2, false}, Fill{0, Corners}})
-          fillAndCheck(A, F, B1, B2,
-                       Case + " border " + std::to_string(F.Border) +
-                           " corners " + std::to_string(F.Corners));
-        EXPECT_EQ(A.margin(), 3);
-        EXPECT_EQ(Array2D::maxAbsDifference(A.gather(), Global), 0.0f)
-            << Case << ": a fill changed the array's value";
+        // followed by a cornerless one whose corners must read NaN again;
+        // then border 0. In process, and over every shard grid up to 2x2
+        // that divides the node grid.
+        std::vector<Exchange> Sequence;
+        for (auto [Border, C] : {std::pair{2, Corners}, std::pair{1, Corners},
+                                 std::pair{3, Corners}, std::pair{2, true},
+                                 std::pair{2, false}, std::pair{0, Corners}})
+          Sequence.push_back({Border, B1, B2, C});
+        for (auto [SR, SC] : {std::pair{1, 1}, std::pair{1, 2},
+                              std::pair{2, 1}, std::pair{2, 2}})
+          if (NR % SR == 0 && NC % SC == 0)
+            expectPartitionedResident(A, SR, SC, Sequence);
       }
 }
 

@@ -10,15 +10,16 @@
 ///   * Partition algebra: shard grids must be power-of-two
 ///     factorizations that tile the node grid exactly, with block-level
 ///     torus neighbors mirroring the node-level torus.
-///   * The partitioned §5.1 exchange over LocalTransport must be
+///   * The partitioned §5.1 fill over LocalTransport must be
 ///     cell-for-cell identical — NaN-poisoned corners included — to the
-///     whole-grid protocol, for every split axis, boundary kind, and
+///     direct construction, for every split axis, boundary kind, and
 ///     corner flag. This is the bitwise seam everything above rides on.
 ///   * ShardedBackend (real worker *processes*, socketpair control +
 ///     shared-memory rings) must gather results bitwise identical to
 ///     the unsharded backend for every shard count, including
 ///     non-square decompositions, multi-source specs, and cornerless
-///     stencils whose skipped corner pads never cross the wire.
+///     stencils whose skipped corner pads never cross the wire, and
+///     across runs that reuse a worker's resident arrays.
 ///   * The fleet degrades transiently: a SIGKILLed worker, an injected
 ///     exchange abort, or a failed spawn fails only the in-flight run,
 ///     and the next run (the serving layer's retry) respawns and
@@ -520,10 +521,15 @@ TEST_P(LocalTransportTest, PartitionedExchangeMatchesWholeGrid) {
                 Global.at(D.NodeRowBegin * TC.SubRows + R,
                           D.NodeColBegin * TC.SubCols + C);
         Local.scatter(Slice);
-        if (Error E = exchangeHalosPartitioned(
-                Local, D, Endpoints[S].get(), /*SourceIndex=*/0, TC.Border,
-                TC.B1, TC.B2, TC.Corners))
-          Failures[S] = E.message();
+        Expected<HaloFill> F =
+            beginHaloFill(Local, D, Endpoints[S].get(), /*SourceIndex=*/0,
+                          TC.Border, TC.B1, TC.B2, TC.Corners);
+        if (!F) {
+          Failures[S] = F.error().message();
+          return;
+        }
+        for (int Id = 0; Id != D.localNodeCount(); ++Id)
+          F->fillNode(Id);
       });
     for (std::thread &T : Threads)
       T.join();
@@ -685,6 +691,46 @@ TEST_F(ShardProcessTest, MultiSourceCoefficientArraysAcrossTheWire) {
                                 {{1, 2}, {2, 2}},
                                 /*SubRows=*/4, /*SubCols=*/5,
                                 /*Iterations=*/1, /*Seed=*/0xab1e);
+}
+
+TEST_F(ShardProcessTest, ResidentSlotsFollowNewDataAndShapes) {
+  // A worker keeps each slot's array while the subgrid shape holds. One
+  // fleet runs job A, A on new data, another subgrid shape, then A again;
+  // every run must be bitwise the unsharded run.
+  MachineConfig Config = MachineConfig::withNodeGrid(4, 4);
+  StencilSpec Spec = corneredSpec();
+  CompiledStencil Compiled = compileSpec(Config, Spec);
+  const struct {
+    int SubRows, SubCols;
+    uint64_t Seed;
+  } Jobs[] = {{6, 7, 0x51a7}, {6, 7, 0x9e3}, {5, 5, 0x51a7}, {6, 7, 0x51a7}};
+  for (const char *Inner : {"cm2", "native"}) {
+    std::unique_ptr<ExecutionBackend> Unsharded =
+        createBackend(Inner, Config);
+    ASSERT_NE(Unsharded, nullptr);
+    shard::ShardedBackend::Options O;
+    O.ShardRows = O.ShardCols = 2;
+    O.Shards = 4;
+    O.InnerBackend = Inner;
+    shard::ShardedBackend B(Config, std::move(O));
+    ASSERT_TRUE(B.valid());
+    for (const auto &J : Jobs) {
+      SCOPED_TRACE(std::string(Inner) + " subgrid " +
+                   std::to_string(J.SubRows) + "x" +
+                   std::to_string(J.SubCols) + " seed " +
+                   std::to_string(J.Seed));
+      BoundArrays Plain(Config, Spec, J.SubRows, J.SubCols, J.Seed);
+      ASSERT_TRUE(Unsharded->run(Compiled, Plain.Args, 1));
+      BoundArrays Side(Config, Spec, J.SubRows, J.SubCols, J.Seed);
+      Expected<TimingReport> Got = B.run(Compiled, Side.Args, 1);
+      ASSERT_TRUE(Got) << Got.error().message();
+      const Array2D Want = Plain.R.gather(), Result = Side.R.gather();
+      EXPECT_EQ(std::memcmp(Want.data(), Result.data(),
+                            sizeof(float) * Want.rows() * Want.cols()),
+                0)
+          << "max |diff| " << Array2D::maxAbsDifference(Want, Result);
+    }
+  }
 }
 
 TEST_F(ShardProcessTest, NameAndClockFollowInnerBackend) {
